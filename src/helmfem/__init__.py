@@ -19,11 +19,9 @@ from .assemble import (
 from .sparse import (
     A1Solver, ICFactor, IcBreakdownError, PcgBreakdownError, PcgConfig,
     PcgNonConvergenceError, PcgResult, SchurOperator, SparseSym, ic0, pcg,
-    schur_apply,
 )
 from .solve import (
-    ProblemSpec, SolutionField, SolveError, SolveInfo, evaluate,
-    saddle_functional_Y, solve,
+    ProblemSpec, SolutionField, SolveError, SolveInfo, saddle_functional_Y, solve,
 )
 from .verify import (
     ConvergenceStudy, ErrorReport, constitutive_spectrum, convergence_study,

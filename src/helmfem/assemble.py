@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .coeff import CoefficientField, admissibility
-from .grid import Grid
+from .grid import Grid, gauss_1d, gauss_points
 from .sparse import SparseSym
 
 
@@ -39,43 +39,8 @@ class AssemblyError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Reference element
+# Element templates
 # ----------------------------------------------------------------------
-
-_GAUSS_1D = {
-    1: (np.array([0.0]), np.array([2.0])),
-    2: (np.array([-1.0, 1.0]) / np.sqrt(3.0), np.array([1.0, 1.0])),
-    3: (np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]),
-        np.array([5.0, 8.0, 5.0]) / 9.0),
-}
-
-# Corner signs counter-clockwise from lower-left, matching Grid.elements.
-_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-
-
-def gauss_1d(order: int):
-    """Points and weights of the n-point Gauss rule on [-1, 1]."""
-    try:
-        return _GAUSS_1D[order]
-    except KeyError:
-        raise ValueError(f"unsupported Gauss order {order}") from None
-
-
-def shape_values(xi, eta):
-    """Bilinear shape functions at reference coordinates, shape (4, ...)."""
-    xi = np.asarray(xi)
-    eta = np.asarray(eta)
-    return 0.25 * (1.0 + _SIGNS[:, 0, None] * xi[None]) * (1.0 + _SIGNS[:, 1, None] * eta[None])
-
-
-def shape_gradients(xi, eta):
-    """Reference-space gradients (dN/dxi, dN/deta), each shape (4, ...)."""
-    xi = np.asarray(xi)
-    eta = np.asarray(eta)
-    dxi = 0.25 * _SIGNS[:, 0, None] * (1.0 + _SIGNS[:, 1, None] * eta[None])
-    deta = 0.25 * _SIGNS[:, 1, None] * (1.0 + _SIGNS[:, 0, None] * xi[None])
-    return dxi, deta
-
 
 def element_templates(hx: float, hy: float, order: int = 2):
     """Template 4x4 matrices (Sx, Sy, Mc) on an hx-by-hy rectangle.
@@ -84,21 +49,13 @@ def element_templates(hx: float, hy: float, order: int = 2):
     N_k N_j.  Every element of a tensor-product grid is congruent, so one
     template of each kind serves the whole mesh.
     """
-    pts, wts = gauss_1d(order)
-    jac = hx * hy / 4.0
     sx = np.zeros((4, 4))
     sy = np.zeros((4, 4))
     mc = np.zeros((4, 4))
-    for a, wa in zip(pts, wts):
-        for b, wb in zip(pts, wts):
-            n = shape_values(a, b)[:, 0]
-            dxi, deta = shape_gradients(a, b)
-            dx = dxi[:, 0] * 2.0 / hx
-            dy = deta[:, 0] * 2.0 / hy
-            w = wa * wb * jac
-            sx += w * np.outer(dx, dx)
-            sy += w * np.outer(dy, dy)
-            mc += w * np.outer(n, n)
+    for _, w, n, dx, dy in gauss_points(hx, hy, order):
+        sx += w * np.outer(dx, dx)
+        sy += w * np.outer(dy, dy)
+        mc += w * np.outer(n, n)
     return sx, sy, mc
 
 
@@ -284,7 +241,8 @@ def _boundary_load(grid: Grid, fn) -> np.ndarray:
 
 
 def _volume_matrix(grid: Grid, coeff_x, coeff_y, coeff_m, sx, sy, mc) -> sps.csr_matrix:
-    """Assemble sum_e cx_e Sx + cy_e Sy + cm_e Mc over all nodes."""
+    """Assemble sum_e cx_e Sx + cy_e Sy + cm_e Mc over all nodes (real or
+    complex per-element coefficients)."""
     data = (
         coeff_x[:, None, None] * sx[None]
         + coeff_y[:, None, None] * sy[None]
@@ -338,9 +296,7 @@ def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> Bloc
         b2 = +g.imag
     elif bc.kind == "robin":
         free = np.arange(n)
-        a = complex(bc.a)
-        if not a.real < 0.0:
-            raise AssemblyError(f"Robin coupling constant must have negative real part, got {a}")
+        a = bc.a
         bmass = _boundary_mass(grid)
         # Trace coupling (1/|a|^2) [[a', a''], [a'', -a']] folded into the
         # blocks: -a'/|a|^2 > 0 multiplies the boundary mass in A1.

@@ -82,7 +82,7 @@ def _key_line(text: str, section: str, key: str) -> int:
     return -1
 
 
-def _coeff_builder(sec, text):
+def _coeff_builder(sec):
     kind = sec.get("kind", "constant").strip().lower()
     if kind == "constant":
         L = parse_complex(sec["l"])
@@ -121,14 +121,7 @@ def _boundary(sec):
     if kind == "neumann":
         return NeumannBC(g=compile_expression(sec.get("g", "0")))
     if kind == "robin":
-        a = parse_complex(sec["a"])
-        if not a.real < 0.0:
-            raise ConfigError(
-                f"Robin boundary requires a coupling constant with negative real "
-                f"part (got a = {a}); positive Re(a) would destroy positive "
-                "definiteness of the system"
-            )
-        return RobinBC(a=a, g=compile_expression(sec.get("g", "0")))
+        return RobinBC(a=parse_complex(sec["a"]), g=compile_expression(sec.get("g", "0")))
     raise ConfigError(f"unknown boundary kind {kind!r}")
 
 
@@ -171,7 +164,7 @@ def parse_config(text: str):
 
         if not parser.has_section("coefficients"):
             raise ConfigError("missing [coefficients] section")
-        coeff, acoustic = _coeff_builder(parser["coefficients"], text)
+        coeff, acoustic = _coeff_builder(parser["coefficients"])
 
         if not parser.has_section("boundary"):
             raise ConfigError("missing [boundary] section")
@@ -222,13 +215,8 @@ def _run_solve(spec, study, out: Path, jobs: int):
     sol = solve(spec)
     write_solution_csv(sol, out / "solution.csv")
     write_meta(sol, out / "meta.txt")
-    if sol.info and sol.info.outer_residuals is not None and len(sol.info.outer_residuals):
-        from .sparse import PcgResult
-        write_residual_csv(
-            PcgResult(x=sol.alpha_re, iters=sol.info.iters_outer,
-                      residuals=sol.info.outer_residuals),
-            out / "residuals.csv",
-        )
+    if len(sol.info.outer_residuals):
+        write_residual_csv(sol.info.outer_residuals, out / "residuals.csv")
     return EXIT_OK
 
 
@@ -345,13 +333,17 @@ def main(argv=None) -> int:
 
     if args.mode:
         spec = dataclasses.replace(spec, mode=args.mode)
-    if args.tol:
-        spec = dataclasses.replace(
-            spec, pcg=dataclasses.replace(spec.pcg, rel_tol=args.tol,
-                                          inner_rel_tol=min(spec.pcg.inner_rel_tol, args.tol)))
-    if args.theta:
-        rot = args.theta if args.theta in ("auto", "off") else float(args.theta)
-        spec = dataclasses.replace(spec, rotation=rot)
+    try:
+        if args.tol is not None:
+            spec = dataclasses.replace(
+                spec, pcg=dataclasses.replace(spec.pcg, rel_tol=args.tol,
+                                              inner_rel_tol=min(spec.pcg.inner_rel_tol, args.tol)))
+        if args.theta is not None:
+            rot = args.theta if args.theta in ("auto", "off") else float(args.theta)
+            spec = dataclasses.replace(spec, rotation=rot)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,10 @@ running along x and j along y.  Elements are the (nx-1)*(ny-1) cells, each
 listed by its four corner node ids counter-clockwise from the lower-left
 corner.  Grids are immutable after construction and safe to share between
 threads.
+
+The module also owns the bilinear reference element on [-1, 1]^2 (Gauss
+rules, shape functions and their gradients) that assembly, solution
+fields and error norms all evaluate through.
 """
 
 from __future__ import annotations
@@ -89,24 +93,26 @@ class Grid:
             & (np.asarray(y) <= self.y1 + sx)
         )
 
-    def element_of_point(self, x: float, y: float) -> int:
-        """Element containing (x, y); points on shared edges go to the
-        lower element index."""
-        if not self.contains(x, y):
-            raise ValueError(f"point ({x}, {y}) outside domain")
-        tx = (x - self.x0) / self.hx
-        ty = (y - self.y0) / self.hy
-        ie = min(max(math.ceil(tx) - 1, 0), self.nx - 2)
-        je = min(max(math.ceil(ty) - 1, 0), self.ny - 2)
-        return je * (self.nx - 1) + ie
+    def element_of_point(self, x, y):
+        """Element containing each point (x, y); points on shared edges go to
+        the lower element index.  Scalars give an int, arrays an array."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        outside = ~self.contains(x, y)
+        if outside.any():
+            k = np.flatnonzero(outside)[0]
+            raise ValueError(f"point ({x.flat[k]}, {y.flat[k]}) outside domain")
+        ie = np.clip(np.ceil((x - self.x0) / self.hx) - 1, 0, self.nx - 2).astype(np.int64)
+        je = np.clip(np.ceil((y - self.y0) / self.hy) - 1, 0, self.ny - 2).astype(np.int64)
+        e = je * (self.nx - 1) + ie
+        return int(e) if e.ndim == 0 else e
 
-    def local_coords(self, element: int, x, y):
+    def local_coords(self, element, x, y):
         """Reference coordinates (xi, eta) in [-1, 1]^2 for points inside
-        the given element."""
-        i0 = self.elements[element, 0]
-        xl, yl = self.nodes[i0]
-        xi = 2.0 * (np.asarray(x) - xl) / self.hx - 1.0
-        eta = 2.0 * (np.asarray(y) - yl) / self.hy - 1.0
+        the given element(s)."""
+        corner = self.nodes[self.elements[element, 0]]
+        xi = 2.0 * (np.asarray(x) - corner[..., 0]) / self.hx - 1.0
+        eta = 2.0 * (np.asarray(y) - corner[..., 1]) / self.hy - 1.0
         return xi, eta
 
 
@@ -169,6 +175,61 @@ def build_grid(domain, nx: int, ny: int) -> Grid:
     )
 
 
+# ----------------------------------------------------------------------
+# Reference element [-1, 1]^2
+# ----------------------------------------------------------------------
+
+_GAUSS_1D = {
+    1: (np.array([0.0]), np.array([2.0])),
+    2: (np.array([-1.0, 1.0]) / np.sqrt(3.0), np.array([1.0, 1.0])),
+    3: (np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]),
+        np.array([5.0, 8.0, 5.0]) / 9.0),
+}
+
+# Corner signs counter-clockwise from lower-left, matching Grid.elements.
+_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+def gauss_1d(order: int):
+    """Points and weights of the n-point Gauss rule on [-1, 1]."""
+    try:
+        return _GAUSS_1D[order]
+    except KeyError:
+        raise ValueError(f"unsupported Gauss order {order}") from None
+
+
+def _corner_signs(xi):
+    """Corner signs (sx, sy), each shaped (4, 1, ...) to broadcast against xi."""
+    return _SIGNS.T.reshape((2, 4) + (1,) * np.ndim(xi))
+
+
+def shape_values(xi, eta):
+    """Bilinear shape functions at reference coordinates, shape (4, *xi.shape)."""
+    sx, sy = _corner_signs(xi)
+    return 0.25 * (1.0 + sx * xi) * (1.0 + sy * eta)
+
+
+def shape_gradients(xi, eta):
+    """Reference-space gradients (dN/dxi, dN/deta), each shape (4, *xi.shape)."""
+    sx, sy = _corner_signs(xi)
+    return 0.25 * sx * (1.0 + sy * eta), 0.25 * sy * (1.0 + sx * xi)
+
+
+def gauss_points(hx: float, hy: float, order: int):
+    """Tensor Gauss rule on an hx-by-hy element.
+
+    Yields ((xi, eta), w, N, dN/dx, dN/dy) per point: the reference
+    point, the weight including the Jacobian hx*hy/4, and the four shape
+    values and physical-space derivatives there.
+    """
+    pts, wts = gauss_1d(order)
+    jac = hx * hy / 4.0
+    for a, wa in zip(pts, wts):
+        for b, wb in zip(pts, wts):
+            dxi, deta = shape_gradients(a, b)
+            yield (a, b), wa * wb * jac, shape_values(a, b), dxi * 2.0 / hx, deta * 2.0 / hy
+
+
 def eval_basis(grid: Grid, node: int, point) -> tuple[float, np.ndarray]:
     """Value and gradient of the hat function of ``node`` at ``point``.
 
@@ -183,18 +244,9 @@ def eval_basis(grid: Grid, node: int, point) -> tuple[float, np.ndarray]:
         return 0.0, np.zeros(2)
     k = int(np.flatnonzero(corners == node)[0])
     xi, eta = grid.local_coords(e, x, y)
-    sx = _CORNER_SIGNS[k, 0]
-    sy = _CORNER_SIGNS[k, 1]
-    value = 0.25 * (1.0 + sx * xi) * (1.0 + sy * eta)
-    grad = np.array([
-        0.25 * sx * (1.0 + sy * eta) * 2.0 / grid.hx,
-        0.25 * sy * (1.0 + sx * xi) * 2.0 / grid.hy,
-    ])
-    return float(value), grad
-
-
-# Reference-corner signs, counter-clockwise from lower-left.
-_CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    dxi, deta = shape_gradients(xi, eta)
+    grad = np.array([dxi[k] * 2.0 / grid.hx, deta[k] * 2.0 / grid.hy])
+    return float(shape_values(xi, eta)[k]), grad
 
 
 class BasisFunction:

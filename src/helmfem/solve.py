@@ -24,14 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import (
-    AssemblyError, BoundaryData, NeumannBC, RobinBC, assemble_system,
-    gauss_1d, shape_gradients, shape_values,
-)
+from .assemble import AssemblyError, BoundaryData, NeumannBC, RobinBC, assemble_system
 from .coeff import (
     CoefficientField, HalfPlaneError, admissibility, auto_rotation_angle, rotate,
 )
-from .grid import Grid, build_grid
+from .grid import Grid, build_grid, gauss_points, shape_gradients, shape_values
 from .sparse import A1Solver, PcgConfig, PcgError, SchurOperator, pcg
 
 
@@ -110,34 +107,30 @@ class SolutionField:
     theta_applied: float = 0.0
     info: SolveInfo = None
 
+    def _locate(self, points):
+        """Corner values (m, 4) and reference coordinates of the element
+        holding each point."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        x, y = pts[:, 0], pts[:, 1]
+        e = self.grid.element_of_point(x, y)
+        xi, eta = self.grid.local_coords(e, x, y)
+        return self.u[self.grid.elements[e]], xi, eta
+
     def evaluate(self, points) -> np.ndarray:
         """Bilinear interpolation at points, shape (m, 2) or a single (x, y)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(len(pts), dtype=complex)
-        for k, (x, y) in enumerate(pts):
-            e = self.grid.element_of_point(x, y)
-            xi, eta = self.grid.local_coords(e, x, y)
-            n = shape_values(xi, eta)[:, 0]
-            out[k] = n @ self.u[self.grid.elements[e]]
+        corner, xi, eta = self._locate(points)
+        out = (corner * shape_values(xi, eta).T).sum(axis=1)
         return out if np.ndim(points) > 1 else out[0]
 
     def gradient(self, points) -> np.ndarray:
         """Element-wise gradient of the interpolant, shape (m, 2) complex."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((len(pts), 2), dtype=complex)
-        for k, (x, y) in enumerate(pts):
-            e = self.grid.element_of_point(x, y)
-            xi, eta = self.grid.local_coords(e, x, y)
-            dxi, deta = shape_gradients(xi, eta)
-            corner = self.u[self.grid.elements[e]]
-            out[k, 0] = (dxi[:, 0] * 2.0 / self.grid.hx) @ corner
-            out[k, 1] = (deta[:, 0] * 2.0 / self.grid.hy) @ corner
+        corner, xi, eta = self._locate(points)
+        dxi, deta = shape_gradients(xi, eta)
+        out = np.column_stack([
+            (corner * (dxi * 2.0 / self.grid.hx).T).sum(axis=1),
+            (corner * (deta * 2.0 / self.grid.hy).T).sum(axis=1),
+        ])
         return out if np.ndim(points) > 1 else out[0]
-
-
-def evaluate(sol: SolutionField, points) -> np.ndarray:
-    """Evaluate a solution field at the given points."""
-    return sol.evaluate(points)
 
 
 def _rotated_bc(bc: BoundaryData, theta: float) -> BoundaryData:
@@ -275,31 +268,23 @@ def saddle_functional_Y(grid: Grid, fld: CoefficientField,
     """
     if fld.n_elements != grid.n_elements:
         raise ValueError("field does not match grid")
-    pts, wts = gauss_1d(2)
     conn = grid.elements
     re_c = np.asarray(u_re, dtype=float)[conn]   # (n_elem, 4)
     im_c = np.asarray(u_im, dtype=float)[conn]
-    jac = grid.hx * grid.hy / 4.0
 
     lx2, ly2, m2 = fld.lxx.imag, fld.lyy.imag, fld.m.imag
     lx1, ly1, m1 = fld.lxx.real, fld.lyy.real, fld.m.real
 
     total = 0.0
-    for a, wa in zip(pts, wts):
-        for b, wb in zip(pts, wts):
-            n = shape_values(a, b)[:, 0]
-            dxi, deta = shape_gradients(a, b)
-            dx = dxi[:, 0] * 2.0 / grid.hx
-            dy = deta[:, 0] * 2.0 / grid.hy
-            w = wa * wb * jac
-            upx, upy, up = re_c @ dx, re_c @ dy, re_c @ n
-            vpx, vpy, vp = im_c @ dx, im_c @ dy, im_c @ n
-            quad = (
-                lx2 * upx ** 2 + ly2 * upy ** 2 + m2 * up ** 2
-                + 2.0 * (lx1 * upx * vpx + ly1 * upy * vpy + m1 * up * vp)
-                - (lx2 * vpx ** 2 + ly2 * vpy ** 2 + m2 * vp ** 2)
-            )
-            total += w * quad.sum()
+    for _, w, n, dx, dy in gauss_points(grid.hx, grid.hy, 2):
+        upx, upy, up = re_c @ dx, re_c @ dy, re_c @ n
+        vpx, vpy, vp = im_c @ dx, im_c @ dy, im_c @ n
+        quad = (
+            lx2 * upx ** 2 + ly2 * upy ** 2 + m2 * up ** 2
+            + 2.0 * (lx1 * upx * vpx + ly1 * upy * vpy + m1 * up * vp)
+            - (lx2 * vpx ** 2 + ly2 * vpy ** 2 + m2 * vp ** 2)
+        )
+        total += w * quad.sum()
     return float(total)
 
 

@@ -66,9 +66,6 @@ class SparseSym:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.mat @ x
 
-    def diagonal(self) -> np.ndarray:
-        return self.mat.diagonal()
-
     def lower(self) -> sps.csr_matrix:
         """Lower triangle (including diagonal) with sorted indices."""
         low = sps.tril(self.mat, format="csr")
@@ -77,18 +74,6 @@ class SparseSym:
 
     def dense(self) -> np.ndarray:
         return self.mat.toarray()
-
-    def is_value_symmetric(self) -> bool:
-        return (self.mat != self.mat.T).nnz == 0
-
-
-def export_triplets(mat, path) -> None:
-    """Write a matrix as plain-text ``row col value`` triplets."""
-    coo = (mat.mat if isinstance(mat, SparseSym) else sps.csr_matrix(mat)).tocoo()
-    with open(path, "w") as f:
-        f.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i} {j} {v:.17g}\n")
 
 
 # ----------------------------------------------------------------------
@@ -214,11 +199,11 @@ def pcg(apply_a, apply_minv, b, cfg: PcgConfig = PcgConfig(), atol: float = None
     )
 
 
-def write_residual_csv(result: PcgResult, path) -> None:
+def write_residual_csv(residuals: np.ndarray, path) -> None:
     """Dump a residual history as (iteration, relative residual) CSV."""
     with open(path, "w") as f:
         f.write("iteration,relative_residual\n")
-        for k, r in enumerate(result.residuals, start=1):
+        for k, r in enumerate(residuals, start=1):
             f.write(f"{k},{r:.17g}\n")
 
 
@@ -404,10 +389,3 @@ class SchurOperator:
         y = self.a2 @ x
         z = self.solver.solve(y)
         return self.a1.matvec(x) + self.a2t @ z
-
-    __call__ = apply
-
-
-def schur_apply(op: SchurOperator, x: np.ndarray) -> np.ndarray:
-    """Apply the Schur complement operator to a vector."""
-    return op.apply(x)

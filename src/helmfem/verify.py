@@ -5,7 +5,7 @@ The error metric throughout is the V-norm,
     ||(u', u'')||_V = (||u'||_H1^2 + ||u''||_H1^2)^(1/2),
 
 evaluated per element with a Gauss rule one order higher than assembly's.
-Ground truth for problems without a manufactured solution is the dense
+Ground truth for problems without a manufactured solution is the sparse
 complex Galerkin discretization of the standard variational form, solved
 directly; the saddle-point path must reproduce it because its block
 equations are real linear recombinations of the complex Galerkin
@@ -19,16 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .assemble import (
     AssemblyError, BlockSystem, DirichletBC, _as_boundary_fn, _boundary_load,
-    _boundary_mass, element_templates, gauss_1d, shape_gradients, shape_values,
+    _boundary_mass, _volume_matrix, element_templates,
 )
 from .coeff import AcousticParams, CoefficientField, acoustic_to_helmholtz, admissibility, rotate
-from .grid import Grid, build_grid
+from .grid import Grid, build_grid, gauss_points
 from .solve import ProblemSpec, SolutionField, SolveError, solve
-
-_ORACLE_NODE_LIMIT = 64 * 64
 
 
 # ----------------------------------------------------------------------
@@ -84,32 +83,24 @@ def v_norm_error(sol: SolutionField, exact, exact_grad=None,
     if exact_grad is None:
         exact_grad = _fd_gradient(exact)
     grid = sol.grid
-    pts, wts = gauss_1d(quadrature_order)
     conn = grid.elements
     uc = sol.u[conn]  # (n_elem, 4) complex
-    jac = grid.hx * grid.hy / 4.0
     corners = grid.nodes[conn[:, 0]]
 
     l2 = np.zeros(2)
     semi = np.zeros(2)
-    for a, wa in zip(pts, wts):
-        for b, wb in zip(pts, wts):
-            n = shape_values(a, b)[:, 0]
-            dxi, deta = shape_gradients(a, b)
-            dx = dxi[:, 0] * 2.0 / grid.hx
-            dy = deta[:, 0] * 2.0 / grid.hy
-            w = wa * wb * jac
-            x = corners[:, 0] + (a + 1.0) * grid.hx / 2.0
-            y = corners[:, 1] + (b + 1.0) * grid.hy / 2.0
-            eu = uc @ n - exact(x, y)
-            gx, gy = exact_grad(x, y)
-            ex = uc @ dx - gx
-            ey = uc @ dy - gy
-            l2 += w * np.array([np.sum(eu.real ** 2), np.sum(eu.imag ** 2)])
-            semi += w * np.array([
-                np.sum(ex.real ** 2) + np.sum(ey.real ** 2),
-                np.sum(ex.imag ** 2) + np.sum(ey.imag ** 2),
-            ])
+    for (a, b), w, n, dx, dy in gauss_points(grid.hx, grid.hy, quadrature_order):
+        x = corners[:, 0] + (a + 1.0) * grid.hx / 2.0
+        y = corners[:, 1] + (b + 1.0) * grid.hy / 2.0
+        eu = uc @ n - exact(x, y)
+        gx, gy = exact_grad(x, y)
+        ex = uc @ dx - gx
+        ey = uc @ dy - gy
+        l2 += w * np.array([np.sum(eu.real ** 2), np.sum(eu.imag ** 2)])
+        semi += w * np.array([
+            np.sum(ex.real ** 2) + np.sum(ey.real ** 2),
+            np.sum(ex.imag ** 2) + np.sum(ey.imag ** 2),
+        ])
     h1 = np.sqrt(l2 + semi)
     info = sol.info
     return ErrorReport(
@@ -123,46 +114,35 @@ def v_norm_error(sol: SolutionField, exact, exact_grad=None,
 
 
 # ----------------------------------------------------------------------
-# Dense complex Galerkin oracle
+# Sparse complex Galerkin oracle
 # ----------------------------------------------------------------------
 
 def galerkin_oracle(grid: Grid, fld: CoefficientField, bc) -> np.ndarray:
-    """Independent ground truth: dense direct solve of the complex
+    """Independent ground truth: sparse direct solve of the complex
     Galerkin discretization with identical elements and quadrature.
 
-    Returns the complex nodal solution over all nodes.  Limited to grids
-    of at most 64 x 64 nodes.
+    Returns the complex nodal solution over all nodes.
     """
-    if grid.n_nodes > _ORACLE_NODE_LIMIT:
-        raise ValueError(f"oracle limited to {_ORACLE_NODE_LIMIT} nodes, got {grid.n_nodes}")
     if fld.n_elements != grid.n_elements:
         raise ValueError("field does not match grid")
 
-    sx, sy, mc = element_templates(grid.hx, grid.hy)
-    n = grid.n_nodes
-    kc = np.zeros((n, n), dtype=complex)
-    conn = grid.elements
-    for e in range(grid.n_elements):
-        loc = fld.lxx[e] * sx + fld.lyy[e] * sy + fld.m[e] * mc
-        idx = conn[e]
-        kc[np.ix_(idx, idx)] += loc
+    kc = _volume_matrix(grid, fld.lxx, fld.lyy, fld.m, *element_templates(grid.hx, grid.hy))
 
     if bc.kind == "dirichlet":
         fvals = bc.nodal_values(grid)
         free = grid.interior_nodes
         bnd = grid.boundary_nodes
         rhs = -kc[np.ix_(free, bnd)] @ fvals[bnd]
-        u = fvals.astype(complex).copy()
-        u[free] = np.linalg.solve(kc[np.ix_(free, free)], rhs)
+        u = fvals.copy()
+        u[free] = spla.spsolve(kc[np.ix_(free, free)], rhs)
         return u
     if bc.kind == "neumann":
         g = _boundary_load(grid, _as_boundary_fn(bc.g))
-        return np.linalg.solve(kc, -1j * g)
+        return spla.spsolve(kc, -1j * g)
     if bc.kind == "robin":
-        a = complex(bc.a)
-        bmass = _boundary_mass(grid).toarray()
+        a = bc.a
         g = _boundary_load(grid, _as_boundary_fn(bc.g))
-        return np.linalg.solve(kc - (1j / a) * bmass, -(1j / a) * g)
+        return spla.spsolve(kc - (1j / a) * _boundary_mass(grid), -(1j / a) * g)
     raise ValueError(f"unknown boundary condition kind {bc.kind!r}")
 
 

@@ -243,6 +243,19 @@ cells_per_wavelength = 4
         assert "mode = direct" in meta
         assert "theta_applied = 0.1" in meta
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "0", "rel_tol"),
+        ("--tol", "2", "rel_tol"),
+        ("--theta", "foo", "foo"),
+    ])
+    def test_bad_override_is_config_error(self, tmp_path, capsys, flag, value, message):
+        cfg = self.write(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--config", cfg, "--out", out, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (out / "solution.csv").exists()
+
     def test_jobs_flag_keeps_order(self, tmp_path):
         text = """
 [domain]

@@ -5,7 +5,7 @@ import pytest
 
 from helmfem import (
     CoefficientField, DirichletBC, NeumannBC, PcgConfig, ProblemSpec, RobinBC,
-    SolveError, build_grid, evaluate, galerkin_oracle, saddle_functional_Y, solve,
+    SolveError, build_grid, eval_basis, galerkin_oracle, saddle_functional_Y, solve,
 )
 from helmfem.assemble import element_blocks
 
@@ -99,12 +99,41 @@ class TestEvaluate:
                            bc=DirichletBC(f=0.0))
         sol = solve(spec)
         pts = np.array([[0.1, 0.2], [0.7, 0.9], [1.0, 0.0]])
-        np.testing.assert_array_equal(evaluate(sol, pts), 0.0)
+        np.testing.assert_array_equal(sol.evaluate(pts), 0.0)
 
     def test_outside_domain_rejected(self):
         sol = self.make_solution()
         with pytest.raises(ValueError):
             sol.evaluate((1.2, 0.3))
+
+    def test_array_matches_single_points(self):
+        sol = self.make_solution()
+        rng = np.random.default_rng(3)
+        shared_edges = [(0.25, 0.3), (0.6, 0.5), (0.375, 0.625)]  # h = 1/8
+        domain_corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        pts = np.vstack([rng.uniform(0.0, 1.0, (20, 2)), shared_edges, domain_corners])
+        values = sol.evaluate(pts)
+        grads = sol.gradient(pts)
+        assert values.shape == (len(pts),) and grads.shape == (len(pts), 2)
+        g = sol.grid
+        for k, p in enumerate(pts):
+            assert values[k] == sol.evaluate(p)
+            np.testing.assert_array_equal(grads[k], sol.gradient(p))
+            # reference: the hat functions of the holding element, one by one
+            corners = g.elements[g.element_of_point(*p)]
+            hats = [eval_basis(g, node, p) for node in corners]
+            value = sum(sol.u[c] * v for c, (v, _) in zip(corners, hats))
+            grad = sum(sol.u[c] * d for c, (_, d) in zip(corners, hats))
+            assert values[k] == pytest.approx(value, rel=1e-14, abs=1e-14)
+            np.testing.assert_allclose(grads[k], grad, rtol=1e-14, atol=1e-13)
+
+    def test_array_with_one_outside_point_rejected(self):
+        sol = self.make_solution()
+        pts = np.array([[0.1, 0.2], [0.5, 1.5], [0.7, 0.9]])
+        with pytest.raises(ValueError, match="outside domain"):
+            sol.evaluate(pts)
+        with pytest.raises(ValueError, match="outside domain"):
+            sol.gradient(pts)
 
 
 class TestSaddleFunctional:

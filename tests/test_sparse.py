@@ -5,7 +5,7 @@ import scipy.sparse as sps
 from helmfem import (
     A1Solver, CoefficientField, DirichletBC, IcBreakdownError, PcgBreakdownError,
     PcgConfig, PcgNonConvergenceError, SchurOperator, SparseSym, assemble_system,
-    build_grid, ic0, pcg, schur_apply,
+    build_grid, ic0, pcg,
 )
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
@@ -104,7 +104,6 @@ class TestSparseSym:
         assert s.n == 16
         x = np.arange(16.0)
         np.testing.assert_array_equal(s.matvec(x), a @ x)
-        assert s.is_value_symmetric()
 
     def test_lower_keeps_diagonal_last(self):
         s = SparseSym(laplacian_2d(3))
@@ -116,19 +115,6 @@ class TestSparseSym:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             SparseSym(sps.csr_matrix(np.ones((2, 3))))
-
-
-class TestExport:
-    def test_triplet_dump(self, tmp_path):
-        from helmfem.sparse import export_triplets
-        a = laplacian_2d(3)
-        path = tmp_path / "a1.txt"
-        export_triplets(SparseSym(a), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == f"# 9 9 {a.nnz}"
-        i, j, v = lines[1].split()
-        assert a[int(i), int(j)] == float(v)
-        assert len(lines) == 1 + a.nnz
 
 
 class TestIc0:
@@ -194,7 +180,7 @@ class TestSchurOperator:
         solver = A1Solver(sys_.a1, sys_.p1)
         op = SchurOperator(sys_.a1, sys_.a2, solver)
         x = np.arange(1.0, sys_.n + 1)
-        np.testing.assert_array_equal(schur_apply(op, x), sys_.a1.matvec(x))
+        np.testing.assert_array_equal(op.apply(x), sys_.a1.matvec(x))
 
     def test_zero_vector(self):
         sys_ = dirichlet_system(5, 1 + 2j, 2 + 3j)

@@ -74,11 +74,14 @@ class TestGalerkinOracle:
         u = galerkin_oracle(g, f, DirichletBC(f=1.0))
         assert u[4] == pytest.approx(19.0 / 28.0, abs=1e-14)
 
-    def test_size_guard(self):
-        g = build_grid(UNIT, 65, 65)
-        f = CoefficientField.constant(g, 1j, 1j)
-        with pytest.raises(ValueError, match="oracle"):
-            galerkin_oracle(g, f, DirichletBC(f=0.0))
+    def test_65x65_agrees_with_direct_solve(self):
+        spec = ProblemSpec(nx=65, ny=65,
+                           coeff=lambda g: CoefficientField.random(g, 0.0, 10.0, 5),
+                           bc=DirichletBC(f=lambda x, y: np.cos(x) + 1j * np.sin(y)),
+                           rotation="off", mode="direct")
+        sol = solve(spec)
+        oracle = galerkin_oracle(sol.grid, spec.coeff(sol.grid), spec.bc)
+        assert np.linalg.norm(sol.u - oracle) / np.linalg.norm(oracle) < 1e-8
 
     def test_agreement_ten_random_draws_per_bc(self):
         rng = np.random.default_rng(7)
