@@ -4,7 +4,9 @@ Discretizes div(L grad u) = M u with complex L, M through a saddle-point
 variational principle whose block structure reduces each solve to two
 symmetric positive-definite real systems (a Schur complement for the real
 part, a plain A1 solve for the imaginary part), handled by nested
-preconditioned conjugate gradients with an IC(0) preconditioner.
+preconditioned conjugate gradients whose inner A1 solves are
+preconditioned by a geometric-multigrid V-cycle (or, optionally, the
+paper's IC(0) factorization).
 """
 
 from .grid import BasisFunction, Grid, build_grid, eval_basis
@@ -17,7 +19,7 @@ from .assemble import (
     assemble_system, element_blocks,
 )
 from .sparse import (
-    A1Solver, ICFactor, IcBreakdownError, PcgBreakdownError, PcgConfig,
+    A1Solver, ICFactor, IcBreakdownError, Multigrid, PcgBreakdownError, PcgConfig,
     PcgNonConvergenceError, PcgResult, SchurOperator, SparseSym, ic0, pcg,
 )
 from .solve import (

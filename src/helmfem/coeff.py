@@ -217,9 +217,12 @@ def auto_rotation_angle(field: CoefficientField) -> float:
     All coefficient values must lie within one open half-plane; the
     returned theta maximizes the smallest angular distance of any rotated
     value to the real axis.  Raises :class:`HalfPlaneError` when the
-    values span a half-plane or more, or when any value is zero.
+    values span a half-plane or more, or when any value is zero or not
+    finite.
     """
     vals = field.all_values()
+    if not np.all(np.isfinite(vals)):
+        raise HalfPlaneError("a non-finite coefficient value has no direction to rotate")
     if np.any(np.abs(vals) == 0.0):
         raise HalfPlaneError("zero coefficient value cannot be rotated into the upper half-plane")
     angles = np.sort(np.angle(vals))

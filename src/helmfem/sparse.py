@@ -1,12 +1,17 @@
-"""Sparse symmetric matrices, IC(0), PCG, and the implicit Schur operator.
+"""Sparse symmetric matrices, PCG, the A1 preconditioners, and the
+implicit Schur operator.
 
 The saddle-point block system is never solved as one indefinite matrix;
 instead the real part of the solution comes from a PCG solve with the
 Schur complement ``A1 + A2^T A1^{-1} A2`` applied implicitly, and the
-imaginary part from a plain ``A1`` solve.  Every ``A1`` solve (including
-the ones nested inside the Schur operator) is itself PCG preconditioned
-by an incomplete Cholesky factorization of the gradient-gradient part
-``P1`` of ``A1``, or a cached direct factorization in "direct" mode.
+imaginary part from a plain ``A1`` solve.  In "implicit" mode every
+``A1`` solve (including the ones nested inside the Schur operator) is
+itself PCG, preconditioned by one symmetric geometric-multigrid V-cycle
+on the tensor grid (``precond="mg"``, the default: iteration counts
+independent of the mesh size) or by the paper's zero-fill incomplete
+Cholesky factorization of the gradient-gradient part ``P1`` of ``A1``
+(``precond="ic0"``: iteration counts growing like 1/h).  "direct" mode
+replaces the inner PCG by a cached sparse direct factorization.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
@@ -80,18 +86,24 @@ class SparseSym:
 # Preconditioned conjugate gradients
 # ----------------------------------------------------------------------
 
+PRECONDITIONERS = ("mg", "ic0")
+
+
 @dataclass(frozen=True)
 class PcgConfig:
-    """Tolerances for the nested solves.
+    """Tolerances and the inner preconditioner of the nested solves.
 
     ``rel_tol`` applies to the outer Schur solve, ``inner_rel_tol`` to the
     nested A1 solves (kept two orders tighter so the outer operator is
-    effectively linear).  ``max_iter`` = 0 means 10*N.
+    effectively linear).  ``max_iter`` = 0 means 10*N.  ``precond``
+    preconditions the inner A1 PCG of implicit mode: "mg" (a multigrid
+    V-cycle) or "ic0" (incomplete Cholesky of P1, the paper's choice).
     """
 
     rel_tol: float = 1e-10
     max_iter: int = 0
     inner_rel_tol: float = 1e-12
+    precond: str = "mg"
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
@@ -100,6 +112,8 @@ class PcgConfig:
             raise ValueError("inner_rel_tol must not exceed rel_tol")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
+        if self.precond not in PRECONDITIONERS:
+            raise ValueError(f"precond must be one of {PRECONDITIONERS}, got {self.precond!r}")
 
     def iter_limit(self, n: int) -> int:
         return self.max_iter if self.max_iter > 0 else 10 * n
@@ -147,8 +161,9 @@ def pcg(apply_a, apply_minv, b, cfg: PcgConfig = PcgConfig(), atol: float = None
 
     Raises
     ------
-    PcgBreakdownError on a non-SPD operator or preconditioner,
-    PcgNonConvergenceError when the iteration limit is hit.
+    PcgBreakdownError on a non-SPD operator or preconditioner, or as soon
+    as a curvature is not finite; PcgNonConvergenceError when the
+    iteration limit is hit.
     """
     apply_a = _as_operator(apply_a)
     apply_minv = _as_operator(apply_minv) or (lambda r: r)
@@ -166,17 +181,17 @@ def pcg(apply_a, apply_minv, b, cfg: PcgConfig = PcgConfig(), atol: float = None
     z = apply_minv(r)
     p = z.copy()
     rz = float(r @ z)
-    if rz <= 0.0:
-        raise PcgBreakdownError("preconditioner is not positive definite")
+    if not rz > 0.0:
+        raise PcgBreakdownError(f"r.z = {rz:.3e}: preconditioner is not positive definite")
 
     history = []
     limit = cfg.iter_limit(n)
     for it in range(1, limit + 1):
         q = apply_a(p)
         pq = float(p @ q)
-        if pq <= 0.0:
+        if not pq > 0.0:
             raise PcgBreakdownError(
-                "non-positive curvature direction: operator is not positive "
+                f"curvature p.Ap = {pq:.3e}: operator is not positive "
                 "definite (inadmissible coefficient field?)"
             )
         alpha = rz / pq
@@ -188,8 +203,8 @@ def pcg(apply_a, apply_minv, b, cfg: PcgConfig = PcgConfig(), atol: float = None
             return PcgResult(x=x, iters=it, residuals=np.array(history))
         z = apply_minv(r)
         rz_new = float(r @ z)
-        if rz_new <= 0.0:
-            raise PcgBreakdownError("preconditioner is not positive definite")
+        if not rz_new > 0.0:
+            raise PcgBreakdownError(f"r.z = {rz_new:.3e}: preconditioner is not positive definite")
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise PcgNonConvergenceError(
@@ -320,37 +335,159 @@ def ic0(p1, max_retries: int = 20) -> ICFactor:
 
 
 # ----------------------------------------------------------------------
+# Geometric multigrid on the tensor grid
+# ----------------------------------------------------------------------
+
+# The V-cycle stays positive definite while MG_OMEGA * max eig(D^-1 A) < 2;
+# on the fine grid that eigenvalue is at most 3 for bilinear elements.
+MG_OMEGA = 0.6     # damped-Jacobi weight
+MG_SWEEPS = 2      # Jacobi sweeps before and after each coarse correction
+MG_MIN_SIDE = 4    # shorter sides are not coarsened
+MG_COARSE_MAX = 300  # unknowns at most on the coarsest level, which is solved densely
+
+
+def _prolong_1d(x: np.ndarray):
+    """Linear interpolation onto the nodes at increasing positions ``x``
+    from every other node plus the last one.
+
+    Works for any number of nodes, so grids need not be 2^k + 1.
+    Returns the (len(x), n_coarse) matrix and the indices of the kept
+    nodes.
+    """
+    n = len(x)
+    keep = np.zeros(n, dtype=bool)
+    keep[::2] = True
+    keep[-1] = True
+    kept = np.flatnonzero(keep)
+    col = np.cumsum(keep) - 1          # coarse index of the nearest kept node on the left
+    mid = np.flatnonzero(~keep)        # each has kept neighbours on both sides
+    w = (x[mid + 1] - x[mid]) / (x[mid + 1] - x[mid - 1])
+    rows = np.concatenate([kept, mid, mid])
+    cols = np.concatenate([np.arange(len(kept)), col[mid], col[mid] + 1])
+    vals = np.concatenate([np.ones(len(kept)), w, 1.0 - w])
+    return sps.csr_matrix((vals, (rows, cols)), shape=(n, len(kept))), kept
+
+
+class Multigrid:
+    """One symmetric V-cycle as an SPD preconditioner for ``A``.
+
+    ``A`` lives on the ``free_nodes`` of a tensor grid (anything with
+    ``nx``, ``ny``, ``hx`` and ``hy``; row-major node ids).  The
+    prolongation is ``Py kron Px`` from the 1-D linear interpolation of
+    :func:`_prolong_1d`, formed on all nodes and restricted to the free
+    ones, so Dirichlet nodes drop out while free Neumann and Robin
+    boundary nodes stay.  A direction whose spacing exceeds twice the
+    other's is not coarsened, which keeps coarse cells near square on
+    stretched grids.  Coarse operators are Galerkin products
+    ``P^T A P``; each level smooths with ``MG_SWEEPS`` damped-Jacobi
+    sweeps before and after its coarse correction.  The
+    grid is coarsened at least once (so the cycle is never an exact
+    solve, unless no side has ``MG_MIN_SIDE`` nodes) and then until at
+    most ``MG_COARSE_MAX`` unknowns are left, where a dense Cholesky
+    factorization solves; below that size a dense solve costs less than
+    the per-level overhead of further levels.  Identical pre- and
+    post-smoothing make the cycle symmetric, and ``MG_OMEGA`` keeps it
+    positive definite.
+    """
+
+    def __init__(self, a, grid, free_nodes: np.ndarray):
+        a = sps.csr_matrix(a)
+        free = np.zeros(grid.nx * grid.ny, dtype=bool)
+        free[free_nodes] = True
+        if a.shape[0] != free.sum():
+            raise ValueError("operator size does not match the free nodes")
+        x, y = grid.hx * np.arange(grid.nx), grid.hy * np.arange(grid.ny)
+        self.levels = []    # (A, omega / diag(A), P, P^T) from fine to coarse
+        while (max(len(x), len(y)) >= MG_MIN_SIDE
+               and (not self.levels or a.shape[0] > MG_COARSE_MAX)):
+            h = min(x[1] - x[0], y[1] - y[0])
+            coarsen_x = len(x) >= MG_MIN_SIDE and (x[1] - x[0] <= 2 * h or len(y) < MG_MIN_SIDE)
+            coarsen_y = len(y) >= MG_MIN_SIDE and (y[1] - y[0] <= 2 * h or len(x) < MG_MIN_SIDE)
+            px, kx = _prolong_1d(x) if coarsen_x else (sps.eye(len(x)), slice(None))
+            py, ky = _prolong_1d(y) if coarsen_y else (sps.eye(len(y)), slice(None))
+            free_c = free.reshape(len(y), len(x))[ky][:, kx].ravel()
+            p = sps.kron(py, px, format="csr")[free][:, free_c]
+            pt = p.T.tocsr()
+            self.levels.append((a, MG_OMEGA / a.diagonal(), p, pt))
+            a = (pt @ a @ p).tocsr()
+            x, y, free = x[kx], y[ky], free_c
+        try:
+            self.coarse = scipy.linalg.cho_factor(a.toarray())
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise PcgBreakdownError(
+                f"coarsest multigrid operator is not finite and positive definite: {exc}"
+            ) from exc
+
+    def apply(self, b: np.ndarray) -> np.ndarray:
+        """One V-cycle from a zero initial guess: an approximation of A^{-1} b."""
+        return self._cycle(0, np.asarray(b, dtype=float))
+
+    def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
+        if level == len(self.levels):
+            return scipy.linalg.cho_solve(self.coarse, b)
+        a, wdinv, p, pt = self.levels[level]
+        x = wdinv * b
+        for _ in range(MG_SWEEPS - 1):
+            x += wdinv * (b - a @ x)
+        x += p @ self._cycle(level + 1, pt @ (b - a @ x))
+        for _ in range(MG_SWEEPS):
+            x += wdinv * (b - a @ x)
+        return x
+
+
+# ----------------------------------------------------------------------
 # A1 solves and the Schur operator
 # ----------------------------------------------------------------------
 
 class A1Solver:
     """Reusable solver for systems with the SPD block ``A1``.
 
-    mode "implicit": PCG preconditioned by IC(0) of the gradient part
-    ``P1`` (factor built lazily, once).  mode "direct": a cached sparse
-    direct factorization of ``A1`` used for exact solves.
+    mode "implicit": PCG preconditioned by ``precond``, built lazily on
+    the first solve: "ic0", IC(0) of the gradient part ``p1``; or "mg",
+    a :class:`Multigrid` V-cycle on ``A1`` itself, which needs the
+    ``grid`` and the ``free_nodes`` the rows of ``A1`` belong to.
+    mode "direct": a cached sparse direct factorization of ``A1`` used
+    for exact solves.
     """
 
     def __init__(self, a1: SparseSym, p1: SparseSym = None, mode: str = "implicit",
-                 rel_tol: float = 1e-12, max_iter: int = 0):
+                 rel_tol: float = 1e-12, max_iter: int = 0, precond: str = "ic0",
+                 grid=None, free_nodes: np.ndarray = None):
         if mode not in ("implicit", "direct"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "implicit" and p1 is None:
-            raise ValueError("implicit mode requires P1")
+        if precond not in PRECONDITIONERS:
+            raise ValueError(f"unknown preconditioner {precond!r}")
+        if mode == "implicit" and precond == "ic0" and p1 is None:
+            raise ValueError("implicit mode with IC(0) requires P1")
+        if mode == "implicit" and precond == "mg" and (grid is None or free_nodes is None):
+            raise ValueError("implicit mode with multigrid requires the grid and free nodes")
         self.a1 = a1
         self.p1 = p1
         self.mode = mode
+        self.precond = precond
+        self.grid = grid
+        self.free_nodes = free_nodes
         self.rel_tol = rel_tol
         self.max_iter = max_iter
         self.total_iters = 0
         self.n_solves = 0
         self._ic = None
+        self._mg = None
         self._lu = None
 
-    def _precond(self) -> ICFactor:
-        if self._ic is None:
-            self._ic = ic0(self.p1)
-        return self._ic
+    @property
+    def ic_shift(self):
+        """Diagonal shift of the IC(0) factor; None before it is built."""
+        return None if self._ic is None else self._ic.shift
+
+    def _apply_minv(self):
+        if self.precond == "ic0":
+            if self._ic is None:
+                self._ic = ic0(self.p1)
+            return self._ic.solve
+        if self._mg is None:
+            self._mg = Multigrid(self.a1.mat, self.grid, self.free_nodes)
+        return self._mg.apply
 
     def solve(self, b: np.ndarray, atol: float = None) -> np.ndarray:
         self.n_solves += 1
@@ -360,7 +497,7 @@ class A1Solver:
             return self._lu.solve(np.asarray(b, dtype=float))
         cfg = PcgConfig(rel_tol=self.rel_tol, max_iter=self.max_iter,
                         inner_rel_tol=self.rel_tol)
-        res = pcg(self.a1, self._precond().solve, b, cfg, atol=atol)
+        res = pcg(self.a1, self._apply_minv(), b, cfg, atol=atol)
         self.total_iters += res.iters
         return res.x
 

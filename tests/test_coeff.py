@@ -116,6 +116,13 @@ class TestAutoRotation:
         with pytest.raises(HalfPlaneError):
             auto_rotation_angle(f)
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 1.0), complex(1.0, np.inf)])
+    def test_non_finite_value_infeasible(self, bad):
+        f = CoefficientField.constant(grid4(), 1 + 1j, 2 + 1j)
+        f.m[3] = bad
+        with pytest.raises(HalfPlaneError, match="non-finite"):
+            auto_rotation_angle(f)
+
     def test_random_half_plane_fields_become_admissible(self):
         rng = np.random.default_rng(11)
         g = grid4()

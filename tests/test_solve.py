@@ -269,6 +269,26 @@ class TestOracleEquivalence:
                 assert rel < 1e-8
 
 
+class TestPreconditioners:
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_mg_and_ic0_agree(self, n):
+        gdata = lambda x, y: np.exp(0.3 * x) + 2j * np.asarray(y)
+        cases = [LAYERED, dict(coeff=lambda g: CoefficientField.random(g, 0.0, 10.0, 3),
+                               bc=NeumannBC(g=gdata)),
+                 dict(coeff=lambda g: CoefficientField.random(g, 0.0, 10.0, 4),
+                      bc=RobinBC(a=-1 + 1j / 3, g=gdata))]
+        for case in cases:
+            sols = {p: solve(ProblemSpec(nx=n, ny=n, **case, pcg=PcgConfig(precond=p)))
+                    for p in ("mg", "ic0")}
+            mg, ic = sols["mg"].info, sols["ic0"].info
+            assert (mg.precond, ic.precond) == ("mg", "ic0")
+            assert mg.iters_outer == ic.iters_outer
+            assert mg.inner_iterations < ic.inner_iterations
+            assert mg.ic_shift is None and ic.ic_shift == 0.0
+            diff = np.linalg.norm(sols["mg"].u - sols["ic0"].u) / np.linalg.norm(sols["ic0"].u)
+            assert diff <= 10 * mg.rel_tol
+
+
 class TestGeneralizedGeometry:
     def test_diagonal_l_matches_oracle(self):
         # distinct Lxx/Lyy exercise the anisotropic coefficient path end to end
@@ -322,6 +342,33 @@ class TestFailurePropagation:
         spec = ProblemSpec(nx=9, ny=9, coeff=f, bc=DirichletBC(f=0.0))
         with pytest.raises(SolveError):
             solve(spec)
+
+    @pytest.mark.parametrize("L, M", [(complex(np.nan, 1.0), 2 + 2j), (1 + 1j, complex(2.0, np.inf))])
+    def test_non_finite_coefficients_rejected_at_setup(self, L, M):
+        spec = ProblemSpec(nx=9, ny=9, coeff=lambda g: CoefficientField.constant(g, L, M),
+                           bc=DirichletBC(f=1.0))
+        with pytest.raises(SolveError, match="non-finite") as exc:
+            solve(spec)
+        assert exc.value.stage == "setup"
+
+    @pytest.mark.parametrize("bc", [
+        DirichletBC(f=lambda x, y: np.where(np.asarray(x) == 0.0, np.nan, 1.0) + 0j),
+        NeumannBC(g=complex(np.inf, 0.0)),
+        RobinBC(a=complex(-1.0, np.nan), g=1.0),
+    ], ids=["dirichlet", "neumann", "robin"])
+    def test_non_finite_boundary_data_rejected_at_setup(self, bc):
+        spec = ProblemSpec(nx=9, ny=9, bc=bc,
+                           coeff=lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j))
+        with pytest.raises(SolveError, match="non-finite") as exc:
+            solve(spec)
+        assert exc.value.stage == "setup"
+
+    def test_missing_boundary_condition_rejected_at_setup(self):
+        spec = ProblemSpec(nx=9, ny=9, bc=None,
+                           coeff=lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j))
+        with pytest.raises(SolveError) as exc:
+            solve(spec)
+        assert exc.value.stage == "setup"
 
     def test_materialized_field_accepted_when_matching(self):
         f = CoefficientField.constant(build_grid(UNIT, 9, 9), 1 + 1j, 2 + 2j)

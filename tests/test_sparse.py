@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sps
 
 from helmfem import (
-    A1Solver, CoefficientField, DirichletBC, IcBreakdownError, PcgBreakdownError,
-    PcgConfig, PcgNonConvergenceError, SchurOperator, SparseSym, assemble_system,
-    build_grid, ic0, pcg,
+    A1Solver, CoefficientField, DirichletBC, IcBreakdownError, Multigrid, NeumannBC,
+    PcgBreakdownError, PcgConfig, PcgNonConvergenceError, RobinBC, SchurOperator,
+    SparseSym, assemble_system, build_grid, ic0, pcg,
 )
+from helmfem.sparse import _prolong_1d
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -95,6 +96,22 @@ class TestPcg:
             PcgConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             PcgConfig(rel_tol=1e-10, inner_rel_tol=1e-8)
+        with pytest.raises(ValueError):
+            PcgConfig(precond="jacobi")
+
+    def test_nan_rhs_breaks_down_at_once(self):
+        a = laplacian_2d(6)
+        b = np.ones(a.shape[0])
+        b[3] = np.nan
+        calls = []
+
+        def apply_a(x):
+            calls.append(1)
+            return a @ x
+
+        with pytest.raises(PcgBreakdownError):
+            pcg(apply_a, None, b)
+        assert len(calls) <= 1
 
 
 class TestSparseSym:
@@ -232,3 +249,89 @@ class TestA1Solver:
             A1Solver(sys_.a1, None, mode="implicit")
         with pytest.raises(ValueError):
             A1Solver(sys_.a1, sys_.p1, mode="cholesky")
+
+
+# ----------------------------------------------------------------------
+# Geometric multigrid
+# ----------------------------------------------------------------------
+
+GDATA = lambda x, y: np.exp(0.3 * x) + 2j * np.asarray(y)
+MG_BCS = {"dirichlet": DirichletBC(f=1.0), "neumann": NeumannBC(g=GDATA),
+          "robin": RobinBC(a=-1 + 1j / 3, g=GDATA)}
+MG_COEFFS = {
+    "constant": lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j),
+    "random": lambda g: CoefficientField.random(g, 0.0, 10.0, 1),
+    # Im L jumps 1 : 100 across y = 0.5
+    "layered": lambda g: CoefficientField.layered(g, "y", 0.5, low=(1 + 1j, 2 + 2j),
+                                                  high=(1 + 100j, 2 + 2j)),
+}
+
+
+def mg_system(n, coeff, bc):
+    g = build_grid(UNIT, n, n)
+    return g, assemble_system(g, MG_COEFFS[coeff](g), MG_BCS[bc])
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 20])
+    def test_prolongation_is_linear_interpolation(self, n):
+        # positions of a coarse level with its short last interval
+        x = np.append(np.arange(0.0, n - 1), n - 0.5)
+        p, kept = _prolong_1d(x)
+        assert kept[0] == 0 and kept[-1] == n - 1
+        assert len(kept) == (n + 1) // 2 + (n % 2 == 0)
+        np.testing.assert_allclose(p @ np.ones(len(kept)), 1.0, atol=1e-15)
+        np.testing.assert_allclose(p @ x[kept], x, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [9, 20])
+    @pytest.mark.parametrize("coeff", sorted(MG_COEFFS))
+    @pytest.mark.parametrize("bc", sorted(MG_BCS))
+    def test_v_cycle_symmetric_positive(self, n, coeff, bc):
+        g, sys_ = mg_system(n, coeff, bc)
+        mg = Multigrid(sys_.a1.mat, g, sys_.free_nodes)
+        assert mg.levels, "the fine grid must be coarsened"
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x = rng.standard_normal(sys_.n)
+            y = rng.standard_normal(sys_.n)
+            bx, by = mg.apply(x), mg.apply(y)
+            assert x @ bx > 0.0 and y @ by > 0.0
+            assert abs(x @ by - y @ bx) <= 1e-12 * np.sqrt((x @ bx) * (y @ by))
+
+    @pytest.mark.parametrize("n", [17, 20, 33, 40, 65, 80, 129])
+    def test_inner_iterations_mesh_independent(self, n):
+        rng = np.random.default_rng(n)
+        for coeff in MG_COEFFS:
+            for bc in MG_BCS:
+                g, sys_ = mg_system(n, coeff, bc)
+                solver = A1Solver(sys_.a1, mode="implicit", rel_tol=1e-12, precond="mg",
+                                  grid=g, free_nodes=sys_.free_nodes)
+                b = rng.standard_normal(sys_.n)
+                x = solver.solve(b)
+                # PCG stops on its recursively updated residual, which
+                # drifts slightly from the true one
+                assert np.linalg.norm(b - sys_.a1.matvec(x)) <= 1e-11 * np.linalg.norm(b)
+                assert solver.total_iters <= 25, (coeff, bc, solver.total_iters)
+
+    def test_anisotropic_rectangle(self):
+        g = build_grid((0.0, 2.0, -1.0, 0.5), 40, 6)
+        sys_ = assemble_system(g, MG_COEFFS["random"](g), MG_BCS["robin"])
+        solver = A1Solver(sys_.a1, precond="mg", grid=g, free_nodes=sys_.free_nodes)
+        b = np.linspace(-1.0, 1.0, sys_.n)
+        np.testing.assert_allclose(solver.solve(b), A1Solver(sys_.a1, mode="direct").solve(b),
+                                   rtol=0, atol=1e-10 * np.abs(b).max())
+        assert solver.total_iters <= 25
+
+    def test_non_finite_operator_breaks_down(self):
+        g, sys_ = mg_system(5, "constant", "dirichlet")
+        a = sys_.a1.mat.copy()
+        a.data[:] = np.nan
+        with pytest.raises(PcgBreakdownError):
+            Multigrid(a, g, sys_.free_nodes)
+
+    def test_requires_grid_and_free_nodes(self):
+        sys_ = dirichlet_system(5, 1 + 1j, 1 + 1j)
+        with pytest.raises(ValueError):
+            A1Solver(sys_.a1, sys_.p1, precond="mg")
+        with pytest.raises(ValueError):
+            A1Solver(sys_.a1, sys_.p1, precond="jacobi")
