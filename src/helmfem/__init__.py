@@ -5,8 +5,7 @@ variational principle whose block structure reduces each solve to two
 symmetric positive-definite real systems (a Schur complement for the real
 part, a plain A1 solve for the imaginary part), handled by nested
 preconditioned conjugate gradients whose inner A1 solves are
-preconditioned by a geometric-multigrid V-cycle (or, optionally, the
-paper's IC(0) factorization).
+preconditioned by a geometric-multigrid V-cycle.
 """
 
 from .grid import BasisFunction, Grid, build_grid, eval_basis
@@ -15,7 +14,7 @@ from .coeff import (
     acoustic_to_helmholtz, admissibility, auto_rotation_angle, rotate,
 )
 from .assemble import (
-    AssemblyError, BlockSystem, DirichletBC, NeumannBC, RobinBC,
+    AssemblyError, BlockSystem, DirichletBC, NeumannBC, NonFiniteDataError, RobinBC,
     assemble_system, element_blocks,
 )
 from .sparse import (

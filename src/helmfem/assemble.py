@@ -8,12 +8,13 @@ leads to the real block system
 
 where, on the volume, A1 collects the imaginary parts of the coefficients
 (grad-grad against Im L plus mass against Im M) and A2 the real parts.  P1
-is the grad-grad part of A1 and feeds the incomplete-Cholesky
-preconditioner.  Dirichlet data enters through a nodal lifting baked into
-b1/b2; Neumann data through boundary load integrals; Robin data through a
-2x2 coupling of the boundary traces that adds a positive multiple of the
-boundary mass matrix to A1 (hence requires Re(a) < 0) and folds the rest
-into A2 and the right-hand side, preserving the block structure.
+is the grad-grad part of A1, from which an incomplete-Cholesky
+preconditioner can be built.  Dirichlet data enters through a nodal
+lifting baked into b1/b2; Neumann data through boundary load integrals;
+Robin data through a 2x2 coupling of the boundary traces that adds a
+positive multiple of the boundary mass matrix to A1 (hence requires
+Re(a) < 0) and folds the rest into A2 and the right-hand side,
+preserving the block structure.
 
 All integrals use 2x2 Gauss per element and 2-point Gauss per boundary
 edge, which is exact for bilinear basis products against the
@@ -36,6 +37,10 @@ from .sparse import SparseSym
 
 class AssemblyError(ValueError):
     pass
+
+
+class NonFiniteDataError(AssemblyError):
+    """Boundary data with NaN or infinite values."""
 
 
 # ----------------------------------------------------------------------
@@ -130,9 +135,9 @@ class RobinBC:
 
     def __post_init__(self):
         a = complex(self.a)
-        if not a.real < 0.0:
+        if not (a.real < 0.0 and np.isfinite(a)):
             raise AssemblyError(
-                f"Robin coupling constant must have negative real part, got a = {a}"
+                f"Robin coupling constant must be finite with negative real part, got a = {a}"
             )
         object.__setattr__(self, "a", a)
 
@@ -234,6 +239,8 @@ def _boundary_load(grid: Grid, fn) -> np.ndarray:
     """Complex nodal loads G_j = int_dOmega g psi_j dS."""
     xq, wq, shapes = _edge_quadrature(grid)
     gq = fn(xq[:, :, 0], xq[:, :, 1])  # (m_edges, 2)
+    if not np.all(np.isfinite(gq)):
+        raise NonFiniteDataError("boundary data has non-finite values")
     out = np.zeros(grid.n_nodes, dtype=complex)
     for a in range(2):
         np.add.at(out, grid.edge_nodes[:, a], (wq * shapes[a][None, :] * gq).sum(axis=1))
@@ -286,6 +293,8 @@ def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> Bloc
     if bc.kind == "dirichlet":
         free = grid.interior_nodes
         lifting = bc.nodal_values(grid)
+        if not np.all(np.isfinite(lifting)):
+            raise NonFiniteDataError("dirichlet boundary data has non-finite values")
         lift_re, lift_im = lifting.real, lifting.imag
         b1 = -(a1_full[free, :] @ lift_re) - (a2_full[free, :] @ lift_im)
         b2 = -(a2_full[free, :] @ lift_re) + (a1_full[free, :] @ lift_im)

@@ -49,7 +49,7 @@ _KNOWN_KEYS = {
         "rho", "kappa", "omega",
     },
     "boundary": {"kind", "f", "g", "a"},
-    "solver": {"rel_tol", "inner_rel_tol", "max_iter", "mode", "theta", "precond"},
+    "solver": {"rel_tol", "inner_rel_tol", "max_iter", "mode", "theta"},
     "study": {
         "n_list", "tol_list", "theta_list", "omega_list",
         "cells_per_wavelength", "exact",
@@ -138,7 +138,7 @@ def parse_config(text: str):
 
     Raises ConfigError with a line number for structural problems and
     unknown keys; defaults are rel_tol 1e-10, inner 1e-12, mode implicit,
-    precond mg, rotation auto, unit-square domain with 17 nodes per side.
+    rotation auto, unit-square domain with 17 nodes per side.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -175,7 +175,6 @@ def parse_config(text: str):
             rel_tol=float(sol.get("rel_tol", "1e-10")),
             inner_rel_tol=float(sol.get("inner_rel_tol", "1e-12")),
             max_iter=int(sol.get("max_iter", "0")),
-            precond=sol.get("precond", "mg").strip(),
         )
         theta_raw = sol.get("theta", "auto").strip()
         rotation = theta_raw if theta_raw in ("auto", "off") else float(theta_raw)
@@ -246,7 +245,7 @@ def _run_pcg_sweep(spec, study, out: Path, jobs: int):
         raise ConfigError("pcg-sweep needs n_list and tol_list in [study]")
     cells, flatness = pcg_iteration_sweep(
         spec.coeff, study.n_list, study.tol_list, domain=spec.domain,
-        rotation=spec.rotation, mode=spec.mode, precond=spec.pcg.precond,
+        rotation=spec.rotation, mode=spec.mode,
     )
     write_pcg_sweep_csv(cells, out / "pcg_sweep.csv")
     with open(out / "pcg_flatness.txt", "w") as f:
@@ -372,7 +371,6 @@ def main(argv=None) -> int:
         with open(out / "meta.txt", "w") as f:
             f.write(f"command = {args.command}\nconfig = {args.config}\n"
                     f"nx = {spec.nx}\nny = {spec.ny}\nmode = {spec.mode}\n"
-                    f"precond = {spec.pcg.precond}\n"
                     f"theta_policy = {spec.rotation}\nrel_tol = {spec.pcg.rel_tol:.17g}\n"
                     f"jobs = {max(1, args.jobs)}\nwall_time_s = {elapsed:.6f}\n"
                     f"exit_code = {code}\n")

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assemble import (
-    AssemblyError, BoundaryData, DirichletBC, NeumannBC, RobinBC, _as_boundary_fn,
-    _edge_quadrature, assemble_system,
+    AssemblyError, BoundaryData, DirichletBC, NeumannBC, NonFiniteDataError, RobinBC,
+    assemble_system,
 )
 from .coeff import (
     CoefficientField, HalfPlaneError, admissibility, auto_rotation_angle, rotate,
@@ -96,8 +96,6 @@ class SolveInfo:
     rel_tol: float
     wall_time: float
     outer_residuals: np.ndarray = field(default=None, repr=False)
-    precond: str = ""       # inner A1 preconditioner: "mg" or "ic0"; "lu" in direct mode
-    ic_shift: float = None  # IC(0) diagonal shift; None unless an IC(0) factor was built
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,27 +171,16 @@ def _resolve_rotation(spec: ProblemSpec, fld: CoefficientField) -> float:
     raise SolveError("setup", f"unknown rotation policy {policy!r}")
 
 
-def _check_inputs(grid: Grid, fld: CoefficientField, bc) -> None:
-    """Reject a missing boundary condition and non-finite coefficients or
-    boundary data before anything is rotated or assembled."""
+def _check_inputs(fld: CoefficientField, bc) -> None:
+    """Reject a missing boundary condition and non-finite coefficients
+    before anything is rotated or assembled.  Non-finite boundary data is
+    caught where assembly samples it (NonFiniteDataError)."""
     if not isinstance(bc, (DirichletBC, NeumannBC, RobinBC)):
         raise SolveError("setup", f"boundary condition must be Dirichlet, Neumann or Robin, "
                                   f"got {type(bc).__name__}")
     for name, values in (("Lxx", fld.lxx), ("Lyy", fld.lyy), ("M", fld.m)):
         if not np.all(np.isfinite(values)):
             raise SolveError("setup", f"coefficient {name} has non-finite values")
-    if bc.kind == "dirichlet":
-        try:
-            data = bc.nodal_values(grid)
-        except AssemblyError as exc:
-            raise SolveError("setup", str(exc)) from exc
-    else:   # g where the boundary loads sample it
-        xq = _edge_quadrature(grid)[0]
-        data = _as_boundary_fn(bc.g)(xq[:, :, 0], xq[:, :, 1])
-        if bc.kind == "robin":
-            data = np.append(data, bc.a)
-    if not np.all(np.isfinite(data)):
-        raise SolveError("setup", f"{bc.kind} boundary data has non-finite values")
 
 
 def solve(spec: ProblemSpec) -> SolutionField:
@@ -208,7 +195,7 @@ def solve(spec: ProblemSpec) -> SolutionField:
     t0 = time.perf_counter()
     grid = spec.build_grid()
     fld0 = spec.build_field(grid)
-    _check_inputs(grid, fld0, spec.bc)
+    _check_inputs(fld0, spec.bc)
 
     theta = _resolve_rotation(spec, fld0)
     fld = rotate(fld0, theta) if theta != 0.0 else fld0
@@ -223,13 +210,15 @@ def solve(spec: ProblemSpec) -> SolutionField:
 
     try:
         system = assemble_system(grid, fld, bc)
+    except NonFiniteDataError as exc:
+        raise SolveError("setup", str(exc)) from exc
     except AssemblyError as exc:
         raise SolveError("assembly", str(exc)) from exc
 
     cfg = spec.pcg
-    solver = A1Solver(system.a1, system.p1, mode=spec.mode,
+    solver = A1Solver(system.a1, mode=spec.mode,
                       rel_tol=cfg.inner_rel_tol, max_iter=cfg.max_iter,
-                      precond=cfg.precond, grid=grid, free_nodes=system.free_nodes)
+                      grid=grid, free_nodes=system.free_nodes)
     n = system.n
     bnorm = float(np.sqrt(np.linalg.norm(system.b1) ** 2 + np.linalg.norm(system.b2) ** 2))
 
@@ -275,7 +264,6 @@ def solve(spec: ProblemSpec) -> SolutionField:
         inner_iterations=solver.total_iters, residual_rel=float(residual),
         bnorm=bnorm, rel_tol=cfg.rel_tol, wall_time=time.perf_counter() - t0,
         outer_residuals=outer_res,
-        precond=cfg.precond if spec.mode == "implicit" else "lu", ic_shift=solver.ic_shift,
     )
     return SolutionField(
         grid=grid, u=u, alpha_re=alpha_re, alpha_im=alpha_im,
@@ -347,8 +335,6 @@ def write_meta(sol: SolutionField, path, extra: dict = None) -> None:
         "inner_iterations": info.inner_iterations if info else "",
         "block_residual_rel": f"{info.residual_rel:.17g}" if info else "",
         "rel_tol": f"{info.rel_tol:.17g}" if info else "",
-        "precond": info.precond if info else "",
-        "ic_shift": f"{info.ic_shift:.17g}" if info and info.ic_shift is not None else "",
         "wall_time_s": f"{info.wall_time:.6f}" if info else "",
     }
     if extra:

@@ -7,10 +7,10 @@ Schur complement ``A1 + A2^T A1^{-1} A2`` applied implicitly, and the
 imaginary part from a plain ``A1`` solve.  In "implicit" mode every
 ``A1`` solve (including the ones nested inside the Schur operator) is
 itself PCG, preconditioned by one symmetric geometric-multigrid V-cycle
-on the tensor grid (``precond="mg"``, the default: iteration counts
-independent of the mesh size) or by the paper's zero-fill incomplete
-Cholesky factorization of the gradient-gradient part ``P1`` of ``A1``
-(``precond="ic0"``: iteration counts growing like 1/h).  "direct" mode
+on the tensor grid, so its iteration counts do not grow with the mesh
+size.  The paper's zero-fill incomplete Cholesky factorization of the
+gradient-gradient part ``P1`` of ``A1`` (iteration counts growing like
+1/h) remains for an ``A1`` given without its grid.  "direct" mode
 replaces the inner PCG by a cached sparse direct factorization.
 """
 
@@ -86,24 +86,18 @@ class SparseSym:
 # Preconditioned conjugate gradients
 # ----------------------------------------------------------------------
 
-PRECONDITIONERS = ("mg", "ic0")
-
-
 @dataclass(frozen=True)
 class PcgConfig:
-    """Tolerances and the inner preconditioner of the nested solves.
+    """Tolerances for the nested solves.
 
     ``rel_tol`` applies to the outer Schur solve, ``inner_rel_tol`` to the
     nested A1 solves (kept two orders tighter so the outer operator is
-    effectively linear).  ``max_iter`` = 0 means 10*N.  ``precond``
-    preconditions the inner A1 PCG of implicit mode: "mg" (a multigrid
-    V-cycle) or "ic0" (incomplete Cholesky of P1, the paper's choice).
+    effectively linear).  ``max_iter`` = 0 means 10*N.
     """
 
     rel_tol: float = 1e-10
     max_iter: int = 0
     inner_rel_tol: float = 1e-12
-    precond: str = "mg"
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
@@ -112,8 +106,6 @@ class PcgConfig:
             raise ValueError("inner_rel_tol must not exceed rel_tol")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.precond not in PRECONDITIONERS:
-            raise ValueError(f"precond must be one of {PRECONDITIONERS}, got {self.precond!r}")
 
     def iter_limit(self, n: int) -> int:
         return self.max_iter if self.max_iter > 0 else 10 * n
@@ -442,52 +434,43 @@ class Multigrid:
 class A1Solver:
     """Reusable solver for systems with the SPD block ``A1``.
 
-    mode "implicit": PCG preconditioned by ``precond``, built lazily on
-    the first solve: "ic0", IC(0) of the gradient part ``p1``; or "mg",
-    a :class:`Multigrid` V-cycle on ``A1`` itself, which needs the
-    ``grid`` and the ``free_nodes`` the rows of ``A1`` belong to.
+    mode "implicit": PCG with a preconditioner built lazily on the first
+    solve: a :class:`Multigrid` V-cycle on ``A1`` when the ``grid`` and
+    the ``free_nodes`` the rows of ``A1`` belong to are given (as
+    :func:`~helmfem.solve.solve` does), else IC(0) of the gradient part
+    ``p1``.
     mode "direct": a cached sparse direct factorization of ``A1`` used
     for exact solves.
     """
 
     def __init__(self, a1: SparseSym, p1: SparseSym = None, mode: str = "implicit",
-                 rel_tol: float = 1e-12, max_iter: int = 0, precond: str = "ic0",
+                 rel_tol: float = 1e-12, max_iter: int = 0,
                  grid=None, free_nodes: np.ndarray = None):
         if mode not in ("implicit", "direct"):
             raise ValueError(f"unknown mode {mode!r}")
-        if precond not in PRECONDITIONERS:
-            raise ValueError(f"unknown preconditioner {precond!r}")
-        if mode == "implicit" and precond == "ic0" and p1 is None:
-            raise ValueError("implicit mode with IC(0) requires P1")
-        if mode == "implicit" and precond == "mg" and (grid is None or free_nodes is None):
-            raise ValueError("implicit mode with multigrid requires the grid and free nodes")
+        if (grid is None) != (free_nodes is None):
+            raise ValueError("multigrid needs both the grid and the free nodes")
+        if mode == "implicit" and grid is None and p1 is None:
+            raise ValueError("implicit mode requires the grid and free nodes, or P1")
         self.a1 = a1
         self.p1 = p1
         self.mode = mode
-        self.precond = precond
         self.grid = grid
         self.free_nodes = free_nodes
         self.rel_tol = rel_tol
         self.max_iter = max_iter
         self.total_iters = 0
         self.n_solves = 0
-        self._ic = None
-        self._mg = None
+        self._minv = None
         self._lu = None
 
-    @property
-    def ic_shift(self):
-        """Diagonal shift of the IC(0) factor; None before it is built."""
-        return None if self._ic is None else self._ic.shift
-
     def _apply_minv(self):
-        if self.precond == "ic0":
-            if self._ic is None:
-                self._ic = ic0(self.p1)
-            return self._ic.solve
-        if self._mg is None:
-            self._mg = Multigrid(self.a1.mat, self.grid, self.free_nodes)
-        return self._mg.apply
+        if self._minv is None:
+            if self.grid is not None:
+                self._minv = Multigrid(self.a1.mat, self.grid, self.free_nodes).apply
+            else:
+                self._minv = ic0(self.p1).solve
+        return self._minv
 
     def solve(self, b: np.ndarray, atol: float = None) -> np.ndarray:
         self.n_solves += 1

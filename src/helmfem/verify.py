@@ -28,7 +28,6 @@ from .assemble import (
 from .coeff import AcousticParams, CoefficientField, acoustic_to_helmholtz, admissibility, rotate
 from .grid import Grid, build_grid, gauss_points
 from .solve import ProblemSpec, SolutionField, SolveError, solve
-from .sparse import PcgConfig
 
 
 # ----------------------------------------------------------------------
@@ -326,15 +325,14 @@ def _field_grad(ref: SolutionField, x, y):
 
 
 def pcg_iteration_sweep(coeff, n_list, tol_list, domain=(0.0, 1.0, 0.0, 1.0),
-                        rotation="auto", mode: str = "implicit", precond: str = "mg"):
+                        rotation="auto", mode: str = "implicit"):
     """Outer PCG iteration counts across grid sizes and tolerances.
 
     ``coeff`` is a CoefficientField builder (Grid -> field) or an (L, M)
-    pair of constants; ``mode`` and ``precond`` choose the A1 solves as
-    in ProblemSpec and PcgConfig.  The probe problem is a Dirichlet solve
-    with unit boundary data.  Returns (cells, flatness) where cells is a
-    list of SweepCell((n, tol), iterations) and flatness maps each
-    tolerance to max-min of the iteration counts over the grid sizes.
+    pair of constants.  The probe problem is a Dirichlet solve with unit
+    boundary data.  Returns (cells, flatness) where cells is a list of
+    SweepCell((n, tol), iterations) and flatness maps each tolerance to
+    max-min of the iteration counts over the grid sizes.
     """
     if isinstance(coeff, tuple):
         L, M = coeff
@@ -349,8 +347,8 @@ def pcg_iteration_sweep(coeff, n_list, tol_list, domain=(0.0, 1.0, 0.0, 1.0),
             spec = ProblemSpec(
                 domain=domain, nx=n, ny=n, coeff=builder,
                 bc=DirichletBC(f=1.0 + 0.0j),
-                pcg=PcgConfig(rel_tol=tol, inner_rel_tol=min(1e-12, tol * 1e-2),
-                              precond=precond),
+                pcg=dataclasses.replace(ProblemSpec().pcg, rel_tol=tol,
+                                        inner_rel_tol=min(1e-12, tol * 1e-2)),
                 rotation=rotation, mode=mode,
             )
             try:

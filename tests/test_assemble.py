@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sps
 
 from helmfem import (
-    AssemblyError, CoefficientField, DirichletBC, NeumannBC, RobinBC,
+    AssemblyError, CoefficientField, DirichletBC, NeumannBC, NonFiniteDataError, RobinBC,
     assemble_system, build_grid, element_blocks,
 )
 from helmfem.assemble import element_templates
@@ -253,6 +253,19 @@ class TestRobin:
             RobinBC(a=1.0 + 0.5j, g=0.0)
         with pytest.raises(AssemblyError, match="negative real part"):
             RobinBC(a=0.333j, g=0.0)
+
+    @pytest.mark.parametrize("a", [complex(-1.0, np.nan), complex(-np.inf, 1.0)])
+    def test_requires_finite_constant(self, a):
+        with pytest.raises(AssemblyError, match="finite"):
+            RobinBC(a=a, g=0.0)
+
+    def test_non_finite_data_rejected(self):
+        g = build_grid(UNIT, 4, 4)
+        f = CoefficientField.constant(g, 3 + 2j, 1 + 4j)
+        for bc in (DirichletBC(f=complex(np.nan, 0.0)), NeumannBC(g=np.inf),
+                   RobinBC(a=-1.0, g=lambda x, y: np.full(np.shape(x), np.nan))):
+            with pytest.raises(NonFiniteDataError):
+                assemble_system(g, f, bc)
 
     def test_boundary_scaling_against_neumann(self):
         # a = -1 + i/3: the A1 boundary addition is -a'/|a|^2 = 0.9 times

@@ -92,13 +92,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="coefficients"):
             parse_config("[domain]\nnx = 5\n")
 
-    def test_precond_option(self):
-        assert parse_config(MINIMAL)[0].pcg.precond == "mg"
-        spec, _ = parse_config(MINIMAL + "\n[solver]\nprecond = ic0\n")
-        assert spec.pcg.precond == "ic0"
-        with pytest.raises(ConfigError, match="precond"):
-            parse_config(MINIMAL + "\n[solver]\nprecond = jacobi\n")
-
     def test_study_lists(self):
         text = MINIMAL + "\n[study]\nn_list = 9, 17, 33\ntol_list = 1e-4, 1e-8\nexact = exp(x+y)\n"
         _, study = parse_config(text)
@@ -127,21 +120,6 @@ class TestRun:
         meta = (out / "meta.txt").read_text()
         assert "theta_applied" in meta and "block_residual_rel" in meta
         assert (out / "residuals.csv").exists()
-
-    @pytest.mark.parametrize("solver, precond, shift", [
-        ("", "mg", ""), ("\n[solver]\nprecond = ic0\n", "ic0", "0"),
-    ])
-    def test_meta_reports_preconditioner(self, tmp_path, solver, precond, shift):
-        cfg = self.write(tmp_path, MINIMAL + solver)
-        out = tmp_path / "out"
-        assert run_cli(["solve", "--config", cfg, "--out", out]) == 0
-        meta = (out / "meta.txt").read_text().splitlines()
-        assert f"precond = {precond}" in meta
-        assert f"ic_shift = {shift}".strip() in [line.strip() for line in meta]
-
-    def test_bad_precond_is_config_error(self, tmp_path):
-        cfg = self.write(tmp_path, MINIMAL + "\n[solver]\nprecond = jacobi\n")
-        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
     def test_solve_deterministic_output(self, tmp_path):
         cfg = self.write(tmp_path, MINIMAL)

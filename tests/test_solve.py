@@ -269,24 +269,22 @@ class TestOracleEquivalence:
                 assert rel < 1e-8
 
 
-class TestPreconditioners:
+class TestMultigridInnerSolves:
     @pytest.mark.parametrize("n", [17, 20])
-    def test_mg_and_ic0_agree(self, n):
+    def test_same_outer_iterations_as_exact_inner_solves(self, n):
+        # multigrid-preconditioned inner PCG against direct A1 solves
         gdata = lambda x, y: np.exp(0.3 * x) + 2j * np.asarray(y)
         cases = [LAYERED, dict(coeff=lambda g: CoefficientField.random(g, 0.0, 10.0, 3),
                                bc=NeumannBC(g=gdata)),
                  dict(coeff=lambda g: CoefficientField.random(g, 0.0, 10.0, 4),
                       bc=RobinBC(a=-1 + 1j / 3, g=gdata))]
         for case in cases:
-            sols = {p: solve(ProblemSpec(nx=n, ny=n, **case, pcg=PcgConfig(precond=p)))
-                    for p in ("mg", "ic0")}
-            mg, ic = sols["mg"].info, sols["ic0"].info
-            assert (mg.precond, ic.precond) == ("mg", "ic0")
-            assert mg.iters_outer == ic.iters_outer
-            assert mg.inner_iterations < ic.inner_iterations
-            assert mg.ic_shift is None and ic.ic_shift == 0.0
-            diff = np.linalg.norm(sols["mg"].u - sols["ic0"].u) / np.linalg.norm(sols["ic0"].u)
-            assert diff <= 10 * mg.rel_tol
+            imp = solve(ProblemSpec(nx=n, ny=n, **case, mode="implicit"))
+            dire = solve(ProblemSpec(nx=n, ny=n, **case, mode="direct"))
+            assert imp.info.iters_outer == dire.info.iters_outer
+            assert imp.info.inner_iterations <= 25 * (imp.info.iters_outer + 2)
+            diff = np.linalg.norm(imp.u - dire.u) / np.linalg.norm(dire.u)
+            assert diff <= 10 * imp.info.rel_tol
 
 
 class TestGeneralizedGeometry:
@@ -354,7 +352,7 @@ class TestFailurePropagation:
     @pytest.mark.parametrize("bc", [
         DirichletBC(f=lambda x, y: np.where(np.asarray(x) == 0.0, np.nan, 1.0) + 0j),
         NeumannBC(g=complex(np.inf, 0.0)),
-        RobinBC(a=complex(-1.0, np.nan), g=1.0),
+        RobinBC(a=-1 + 1j / 3, g=lambda x, y: np.where(np.asarray(y) == 1.0, np.nan, 1.0)),
     ], ids=["dirichlet", "neumann", "robin"])
     def test_non_finite_boundary_data_rejected_at_setup(self, bc):
         spec = ProblemSpec(nx=9, ny=9, bc=bc,
@@ -362,6 +360,13 @@ class TestFailurePropagation:
         with pytest.raises(SolveError, match="non-finite") as exc:
             solve(spec)
         assert exc.value.stage == "setup"
+
+    def test_incomplete_dirichlet_dict_fails_at_assembly(self):
+        spec = ProblemSpec(nx=5, ny=5, bc=DirichletBC(f={0: 1.0}),
+                           coeff=lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j))
+        with pytest.raises(SolveError, match="missing") as exc:
+            solve(spec)
+        assert exc.value.stage == "assembly"
 
     def test_missing_boundary_condition_rejected_at_setup(self):
         spec = ProblemSpec(nx=9, ny=9, bc=None,

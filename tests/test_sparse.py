@@ -96,8 +96,6 @@ class TestPcg:
             PcgConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             PcgConfig(rel_tol=1e-10, inner_rel_tol=1e-8)
-        with pytest.raises(ValueError):
-            PcgConfig(precond="jacobi")
 
     def test_nan_rhs_breaks_down_at_once(self):
         a = laplacian_2d(6)
@@ -304,7 +302,7 @@ class TestMultigrid:
         for coeff in MG_COEFFS:
             for bc in MG_BCS:
                 g, sys_ = mg_system(n, coeff, bc)
-                solver = A1Solver(sys_.a1, mode="implicit", rel_tol=1e-12, precond="mg",
+                solver = A1Solver(sys_.a1, mode="implicit", rel_tol=1e-12,
                                   grid=g, free_nodes=sys_.free_nodes)
                 b = rng.standard_normal(sys_.n)
                 x = solver.solve(b)
@@ -316,7 +314,7 @@ class TestMultigrid:
     def test_anisotropic_rectangle(self):
         g = build_grid((0.0, 2.0, -1.0, 0.5), 40, 6)
         sys_ = assemble_system(g, MG_COEFFS["random"](g), MG_BCS["robin"])
-        solver = A1Solver(sys_.a1, precond="mg", grid=g, free_nodes=sys_.free_nodes)
+        solver = A1Solver(sys_.a1, grid=g, free_nodes=sys_.free_nodes)
         b = np.linspace(-1.0, 1.0, sys_.n)
         np.testing.assert_allclose(solver.solve(b), A1Solver(sys_.a1, mode="direct").solve(b),
                                    rtol=0, atol=1e-10 * np.abs(b).max())
@@ -330,8 +328,8 @@ class TestMultigrid:
             Multigrid(a, g, sys_.free_nodes)
 
     def test_requires_grid_and_free_nodes(self):
-        sys_ = dirichlet_system(5, 1 + 1j, 1 + 1j)
+        g, sys_ = mg_system(5, "constant", "dirichlet")
         with pytest.raises(ValueError):
-            A1Solver(sys_.a1, sys_.p1, precond="mg")
+            A1Solver(sys_.a1, sys_.p1, grid=g)
         with pytest.raises(ValueError):
-            A1Solver(sys_.a1, sys_.p1, precond="jacobi")
+            A1Solver(sys_.a1, sys_.p1, free_nodes=sys_.free_nodes)
