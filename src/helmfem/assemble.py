@@ -1,4 +1,4 @@
-"""Assembly of the sparse block system A1, A2, P1, b1, b2.
+"""Assembly of the sparse block system A1, A2, b1, b2.
 
 The solution ansatz u = u' + i u'' with nodal coefficients (alpha', alpha'')
 leads to the real block system
@@ -7,14 +7,12 @@ leads to the real block system
     [ A2  -A1   ] [alpha'']  =  [b2]
 
 where, on the volume, A1 collects the imaginary parts of the coefficients
-(grad-grad against Im L plus mass against Im M) and A2 the real parts.  P1
-is the grad-grad part of A1, from which an incomplete-Cholesky
-preconditioner can be built.  Dirichlet data enters through a nodal
-lifting baked into b1/b2; Neumann data through boundary load integrals;
-Robin data through a 2x2 coupling of the boundary traces that adds a
-positive multiple of the boundary mass matrix to A1 (hence requires
-Re(a) < 0) and folds the rest into A2 and the right-hand side,
-preserving the block structure.
+(grad-grad against Im L plus mass against Im M) and A2 the real parts.
+Dirichlet data enters through a nodal lifting baked into b1/b2; Neumann
+data through boundary load integrals; Robin data through a 2x2 coupling
+of the boundary traces that adds a positive multiple of the boundary
+mass matrix to A1 (hence requires Re(a) < 0) and folds the rest into A2
+and the right-hand side, preserving the block structure.
 
 All integrals use 2x2 Gauss per element and 2-point Gauss per boundary
 edge, which is exact for bilinear basis products against the
@@ -159,7 +157,6 @@ class BlockSystem:
 
     a1: SparseSym
     a2: sps.csr_matrix = field(repr=False)
-    p1: SparseSym = field(repr=False)
     b1: np.ndarray = field(repr=False)
     b2: np.ndarray = field(repr=False)
     free_nodes: np.ndarray = field(repr=False)
@@ -173,7 +170,7 @@ class BlockSystem:
 
     def block_matrix_dense(self) -> np.ndarray:
         """Dense [[A1, A2^T], [A2, -A1]] for small-instance checks."""
-        a1 = self.a1.dense()
+        a1 = self.a1.mat.toarray()
         a2 = self.a2.toarray()
         return np.block([[a1, a2.T], [a2, -a1]])
 
@@ -253,7 +250,7 @@ def _volume_matrix(grid: Grid, coeff_x, coeff_y, coeff_m, sx, sy, mc) -> sps.csr
     data = (
         coeff_x[:, None, None] * sx[None]
         + coeff_y[:, None, None] * sy[None]
-        + (coeff_m[:, None, None] * mc[None] if coeff_m is not None else 0.0)
+        + coeff_m[:, None, None] * mc[None]
     )
     conn = grid.elements
     rows = np.broadcast_to(conn[:, :, None], data.shape)
@@ -285,7 +282,6 @@ def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> Bloc
     sx, sy, mc = element_templates(grid.hx, grid.hy)
     a1_full = _volume_matrix(grid, fld.lxx.imag, fld.lyy.imag, fld.m.imag, sx, sy, mc)
     a2_full = _volume_matrix(grid, fld.lxx.real, fld.lyy.real, fld.m.real, sx, sy, mc)
-    p1_full = _volume_matrix(grid, fld.lxx.imag, fld.lyy.imag, None, sx, sy, mc)
 
     n = grid.n_nodes
     lifting = np.zeros(n, dtype=complex)
@@ -321,12 +317,11 @@ def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> Bloc
     ix = np.ix_(free, free)
     a1 = sps.csr_matrix(a1_full[ix])
     a2 = sps.csr_matrix(a2_full[ix])
-    p1 = sps.csr_matrix(p1_full[ix])
-    for m in (a1, a2, p1):
+    for m in (a1, a2):
         m.sort_indices()
 
     return BlockSystem(
-        a1=SparseSym(a1), a2=a2, p1=SparseSym(p1),
+        a1=SparseSym(a1), a2=a2,
         b1=np.asarray(b1).ravel(), b2=np.asarray(b2).ravel(),
         free_nodes=free, lifting=lifting, grid=grid, bc_kind=bc.kind,
     )

@@ -3,8 +3,9 @@
 Commands: solve, convergence, spectrum, pcg-sweep, rotation-sweep,
 omega-sweep.  Configs are INI files with sections [domain],
 [coefficients], [boundary], [solver], [study]; unknown keys are rejected
-with their line number.  Exit codes: 0 success, 2 config/parse error,
-3 admissibility/rotation failure, 4 solver failure.
+with their line number.  Exit codes: 0 success, 2 config/parse error
+(including non-finite coefficients or boundary data), 3
+admissibility/rotation failure, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 
-from .assemble import AssemblyError, DirichletBC, NeumannBC, RobinBC, assemble_system
+from .assemble import (
+    AssemblyError, DirichletBC, NeumannBC, NonFiniteDataError, RobinBC, assemble_system,
+)
 from .coeff import AcousticParams, CoefficientField, HalfPlaneError, acoustic_to_helmholtz
 from .expr import ExprError, compile_expression, parse_complex
 from .solve import ProblemSpec, SolveError, solve, write_meta, write_solution_csv
@@ -351,10 +354,13 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = _RUNNERS[args.command](spec, study, out, max(1, args.jobs))
-    except ConfigError as exc:
+    except (ConfigError, NonFiniteDataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolveError as exc:
+        if exc.stage == "setup":
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         if exc.stage in ("admissibility", "rotation"):
             print(f"admissibility error: {exc}", file=sys.stderr)
             return EXIT_ADMISSIBILITY

@@ -75,6 +75,9 @@ def compile_expression(text: str, allow_xy: bool = True):
 
 
 def parse_complex(text: str) -> complex:
-    """Evaluate a constant expression (no x/y) to a complex number."""
+    """Evaluate a constant expression (no x/y) to a finite complex number."""
     fn = compile_expression(text, allow_xy=False)
-    return complex(fn(0.0, 0.0))
+    value = complex(fn(0.0, 0.0))
+    if not np.isfinite(value):
+        raise ExprError(f"expression {text!r} evaluates to the non-finite value {value}")
+    return value

@@ -104,8 +104,6 @@ class SolutionField:
 
     grid: Grid
     u: np.ndarray = field(repr=False)           # complex nodal values, all nodes
-    alpha_re: np.ndarray = field(repr=False)    # free-node coefficients
-    alpha_im: np.ndarray = field(repr=False)
     free_nodes: np.ndarray = field(repr=False)
     theta_applied: float = 0.0
     info: SolveInfo = None
@@ -216,9 +214,7 @@ def solve(spec: ProblemSpec) -> SolutionField:
         raise SolveError("assembly", str(exc)) from exc
 
     cfg = spec.pcg
-    solver = A1Solver(system.a1, mode=spec.mode,
-                      rel_tol=cfg.inner_rel_tol, max_iter=cfg.max_iter,
-                      grid=grid, free_nodes=system.free_nodes)
+    solver = A1Solver(system, mode=spec.mode, rel_tol=cfg.inner_rel_tol, max_iter=cfg.max_iter)
     n = system.n
     bnorm = float(np.sqrt(np.linalg.norm(system.b1) ** 2 + np.linalg.norm(system.b2) ** 2))
 
@@ -237,7 +233,7 @@ def solve(spec: ProblemSpec) -> SolutionField:
             raise SolveError("step 3 (rhs reduction)", str(exc)) from exc
         w1 = system.b1 + system.a2.T @ z
 
-        schur = SchurOperator(system.a1, system.a2, solver)
+        schur = SchurOperator(solver)
         try:
             res = pcg(schur.apply, solver.solve, w1, cfg, atol=cfg.rel_tol * bnorm)
         except PcgError as exc:
@@ -265,10 +261,8 @@ def solve(spec: ProblemSpec) -> SolutionField:
         bnorm=bnorm, rel_tol=cfg.rel_tol, wall_time=time.perf_counter() - t0,
         outer_residuals=outer_res,
     )
-    return SolutionField(
-        grid=grid, u=u, alpha_re=alpha_re, alpha_im=alpha_im,
-        free_nodes=system.free_nodes, theta_applied=theta, info=info,
-    )
+    return SolutionField(grid=grid, u=u, free_nodes=system.free_nodes,
+                         theta_applied=theta, info=info)
 
 
 # ----------------------------------------------------------------------
@@ -319,26 +313,24 @@ def write_solution_csv(sol: SolutionField, path) -> None:
             f.write(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}\n")
 
 
-def write_meta(sol: SolutionField, path, extra: dict = None) -> None:
-    """Key-value metadata block for a solve."""
+def write_meta(sol: SolutionField, path) -> None:
+    """Key-value metadata block for a solved field."""
     info = sol.info
     lines = {
         "nx": sol.grid.nx, "ny": sol.grid.ny,
         "hx": f"{sol.grid.hx:.17g}", "hy": f"{sol.grid.hy:.17g}",
         "theta_applied": f"{sol.theta_applied:.17g}",
-        "bc_kind": info.bc_kind if info else "",
-        "mode": info.mode if info else "",
-        "n_free": info.n_free if info else "",
-        "iters_rhs": info.iters_rhs if info else "",
-        "iters_outer": info.iters_outer if info else "",
-        "iters_imag": info.iters_imag if info else "",
-        "inner_iterations": info.inner_iterations if info else "",
-        "block_residual_rel": f"{info.residual_rel:.17g}" if info else "",
-        "rel_tol": f"{info.rel_tol:.17g}" if info else "",
-        "wall_time_s": f"{info.wall_time:.6f}" if info else "",
+        "bc_kind": info.bc_kind,
+        "mode": info.mode,
+        "n_free": info.n_free,
+        "iters_rhs": info.iters_rhs,
+        "iters_outer": info.iters_outer,
+        "iters_imag": info.iters_imag,
+        "inner_iterations": info.inner_iterations,
+        "block_residual_rel": f"{info.residual_rel:.17g}",
+        "rel_tol": f"{info.rel_tol:.17g}",
+        "wall_time_s": f"{info.wall_time:.6f}",
     }
-    if extra:
-        lines.update(extra)
     with open(path, "w") as f:
         for k, v in lines.items():
             f.write(f"{k} = {v}\n")

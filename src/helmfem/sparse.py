@@ -8,10 +8,10 @@ imaginary part from a plain ``A1`` solve.  In "implicit" mode every
 ``A1`` solve (including the ones nested inside the Schur operator) is
 itself PCG, preconditioned by one symmetric geometric-multigrid V-cycle
 on the tensor grid, so its iteration counts do not grow with the mesh
-size.  The paper's zero-fill incomplete Cholesky factorization of the
-gradient-gradient part ``P1`` of ``A1`` (iteration counts growing like
-1/h) remains for an ``A1`` given without its grid.  "direct" mode
-replaces the inner PCG by a cached sparse direct factorization.
+size.  "direct" mode replaces the inner PCG by a cached sparse direct
+factorization.  The paper's zero-fill incomplete Cholesky factorization
+(iteration counts growing like 1/h) remains as a library routine,
+:func:`ic0`; no solve path uses it.
 """
 
 from __future__ import annotations
@@ -62,24 +62,11 @@ class SparseSym:
             raise ValueError("matrix must be square")
 
     @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    @property
     def nnz(self) -> int:
         return self.mat.nnz
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.mat @ x
-
-    def lower(self) -> sps.csr_matrix:
-        """Lower triangle (including diagonal) with sorted indices."""
-        low = sps.tril(self.mat, format="csr")
-        low.sort_indices()
-        return low
-
-    def dense(self) -> np.ndarray:
-        return self.mat.toarray()
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +89,8 @@ class PcgConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must be in (0, 1)")
-        if self.inner_rel_tol > self.rel_tol:
-            raise ValueError("inner_rel_tol must not exceed rel_tol")
+        if not 0.0 < self.inner_rel_tol <= self.rel_tol:
+            raise ValueError("inner_rel_tol must be in (0, rel_tol]")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
 
@@ -118,26 +105,14 @@ class PcgResult:
     residuals: np.ndarray  # relative residual after each iteration
 
 
-def _as_operator(a):
-    if a is None:
-        return None
-    if callable(a):
-        return a
-    if isinstance(a, SparseSym):
-        return a.matvec
-    if sps.issparse(a) or isinstance(a, np.ndarray):
-        return lambda x: a @ x
-    raise TypeError(f"cannot interpret {type(a)!r} as a linear operator")
-
-
 def pcg(apply_a, apply_minv, b, cfg: PcgConfig = PcgConfig(), atol: float = None) -> PcgResult:
     """Preconditioned conjugate gradients for SPD ``A x = b``.
 
     Parameters
     ----------
-    apply_a, apply_minv : callable, matrix, or SparseSym
-        The operator and the preconditioner inverse; ``apply_minv=None``
-        disables preconditioning.
+    apply_a, apply_minv : callable
+        The operator and the preconditioner inverse, each mapping a
+        vector to a vector; ``apply_minv=None`` disables preconditioning.
     b : ndarray
         Right-hand side.
     cfg : PcgConfig
@@ -157,8 +132,7 @@ def pcg(apply_a, apply_minv, b, cfg: PcgConfig = PcgConfig(), atol: float = None
     as a curvature is not finite; PcgNonConvergenceError when the
     iteration limit is hit.
     """
-    apply_a = _as_operator(apply_a)
-    apply_minv = _as_operator(apply_minv) or (lambda r: r)
+    apply_minv = apply_minv or (lambda r: r)
     b = np.asarray(b, dtype=float)
     n = len(b)
     bnorm = np.linalg.norm(b)
@@ -289,19 +263,17 @@ def _ic0_attempt(indptr, indices, a, n):
     return v, -1
 
 
-def ic0(p1, max_retries: int = 20) -> ICFactor:
-    """Incomplete Cholesky with zero fill on the pattern of ``p1``.
+def ic0(a, max_retries: int = 20) -> ICFactor:
+    """Incomplete Cholesky with zero fill on the pattern of the symmetric
+    sparse matrix ``a``.
 
-    On pivot breakdown the factorization is retried on ``p1 + shift*I``
+    On pivot breakdown the factorization is retried on ``a + shift*I``
     with the shift doubling from ``1e-3 * max(diag)``; after
     ``max_retries`` shifted attempts an :class:`IcBreakdownError` is
     raised.
     """
-    if isinstance(p1, SparseSym):
-        low = p1.lower()
-    else:
-        low = sps.tril(sps.csr_matrix(p1), format="csr")
-        low.sort_indices()
+    low = sps.tril(sps.csr_matrix(a), format="csr")
+    low.sort_indices()
     n = low.shape[0]
     diag = low.diagonal()
     if np.any(diag <= 0.0):
@@ -432,78 +404,54 @@ class Multigrid:
 # ----------------------------------------------------------------------
 
 class A1Solver:
-    """Reusable solver for systems with the SPD block ``A1``.
+    """Reusable solver for systems with the SPD block ``A1`` of a
+    :class:`~helmfem.assemble.BlockSystem`.
 
-    mode "implicit": PCG with a preconditioner built lazily on the first
-    solve: a :class:`Multigrid` V-cycle on ``A1`` when the ``grid`` and
-    the ``free_nodes`` the rows of ``A1`` belong to are given (as
-    :func:`~helmfem.solve.solve` does), else IC(0) of the gradient part
-    ``p1``.
+    mode "implicit": PCG preconditioned by one :class:`Multigrid` V-cycle
+    on ``A1`` over the system's grid and free nodes, built on the first
+    solve.
     mode "direct": a cached sparse direct factorization of ``A1`` used
     for exact solves.
     """
 
-    def __init__(self, a1: SparseSym, p1: SparseSym = None, mode: str = "implicit",
-                 rel_tol: float = 1e-12, max_iter: int = 0,
-                 grid=None, free_nodes: np.ndarray = None):
+    def __init__(self, system, mode: str = "implicit",
+                 rel_tol: float = 1e-12, max_iter: int = 0):
         if mode not in ("implicit", "direct"):
             raise ValueError(f"unknown mode {mode!r}")
-        if (grid is None) != (free_nodes is None):
-            raise ValueError("multigrid needs both the grid and the free nodes")
-        if mode == "implicit" and grid is None and p1 is None:
-            raise ValueError("implicit mode requires the grid and free nodes, or P1")
-        self.a1 = a1
-        self.p1 = p1
+        self.system = system
         self.mode = mode
-        self.grid = grid
-        self.free_nodes = free_nodes
-        self.rel_tol = rel_tol
-        self.max_iter = max_iter
+        self.cfg = PcgConfig(rel_tol=rel_tol, max_iter=max_iter, inner_rel_tol=rel_tol)
         self.total_iters = 0
-        self.n_solves = 0
         self._minv = None
         self._lu = None
 
-    def _apply_minv(self):
-        if self._minv is None:
-            if self.grid is not None:
-                self._minv = Multigrid(self.a1.mat, self.grid, self.free_nodes).apply
-            else:
-                self._minv = ic0(self.p1).solve
-        return self._minv
-
     def solve(self, b: np.ndarray, atol: float = None) -> np.ndarray:
-        self.n_solves += 1
+        a1 = self.system.a1
         if self.mode == "direct":
             if self._lu is None:
-                self._lu = spla.splu(self.a1.mat.tocsc())
+                self._lu = spla.splu(a1.mat.tocsc())
             return self._lu.solve(np.asarray(b, dtype=float))
-        cfg = PcgConfig(rel_tol=self.rel_tol, max_iter=self.max_iter,
-                        inner_rel_tol=self.rel_tol)
-        res = pcg(self.a1, self._apply_minv(), b, cfg, atol=atol)
+        if self._minv is None:
+            self._minv = Multigrid(a1.mat, self.system.grid, self.system.free_nodes).apply
+        res = pcg(a1.matvec, self._minv, b, self.cfg, atol=atol)
         self.total_iters += res.iters
         return res.x
 
 
 class SchurOperator:
-    """Implicit action of ``A1 + A2^T A1^{-1} A2``.
+    """Implicit action of ``A1 + A2^T A1^{-1} A2`` for the system of an
+    :class:`A1Solver`.
 
     Only matrix-vector products are ever formed; the inner ``A1`` solve
-    runs through the attached :class:`A1Solver`.  The operator is
-    symmetric positive definite up to the inner solve tolerance.
+    runs through the solver.  The operator is symmetric positive definite
+    up to the inner solve tolerance.
     """
 
-    def __init__(self, a1: SparseSym, a2: sps.spmatrix, solver: A1Solver):
-        if a2.shape != (a1.n, a1.n):
-            raise ValueError("A1/A2 dimension mismatch")
-        self.a1 = a1
-        self.a2 = sps.csr_matrix(a2)
-        self.a2t = self.a2.T.tocsr()
+    def __init__(self, solver: A1Solver):
         self.solver = solver
-
-    @property
-    def n(self) -> int:
-        return self.a1.n
+        self.a1 = solver.system.a1
+        self.a2 = solver.system.a2
+        self.a2t = self.a2.T.tocsr()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         y = self.a2 @ x

@@ -148,11 +148,8 @@ def galerkin_oracle(grid: Grid, fld: CoefficientField, bc) -> np.ndarray:
 
 def oracle_solution_field(grid: Grid, u: np.ndarray) -> SolutionField:
     """Wrap oracle nodal values for interpolation/gradient queries."""
-    return SolutionField(
-        grid=grid, u=np.asarray(u, dtype=complex),
-        alpha_re=u.real.copy(), alpha_im=u.imag.copy(),
-        free_nodes=np.arange(grid.n_nodes), theta_applied=0.0, info=None,
-    )
+    return SolutionField(grid=grid, u=np.asarray(u, dtype=complex),
+                         free_nodes=np.arange(grid.n_nodes))
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +245,7 @@ def schur_spectrum(system: BlockSystem, size_limit: int = 900) -> SchurSpectrum:
     """
     if system.n > size_limit:
         raise ValueError(f"dense spectrum limited to {size_limit} unknowns, got {system.n}")
-    a1 = system.a1.dense()
+    a1 = system.a1.mat.toarray()
     a2 = system.a2.toarray()
     s = a1 + a2.T @ np.linalg.solve(a1, a2)
     s = 0.5 * (s + s.T)  # symmetrize roundoff

@@ -95,7 +95,7 @@ class TestAssembleDirichlet:
             a1loc, a2loc, _ = element_blocks(g, f, e)
             corner = int(np.flatnonzero(g.elements[e] == 4)[0])
             expected += a1loc[corner, corner]
-        assert sys_.a1.dense()[0, 0] == pytest.approx(expected)
+        assert sys_.a1.mat.toarray()[0, 0] == pytest.approx(expected)
         assert expected == pytest.approx(8.0 / 3.0 + 4.0 / 9.0)
         assert sys_.a2.toarray()[0, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -193,20 +193,19 @@ class TestStructure:
             f = self.rand_field(g, seed)
             for bc in (DirichletBC(f=0.0), NeumannBC(g=0.0), RobinBC(a=-2 + 1j, g=0.0)):
                 sys_ = assemble_system(g, f, bc)
-                assert np.linalg.eigvalsh(sys_.a1.dense()).min() > 0
+                assert np.linalg.eigvalsh(sys_.a1.mat.toarray()).min() > 0
 
     def test_a1_splits_into_p1_plus_mass_part(self):
+        # A1 of the field = A1 of its gradient-only part + A1 of its
+        # mass-only part (the other coefficient a negligible 1e-30j)
         g = build_grid(UNIT, 5, 5)
         f = self.rand_field(g, 9)
-        sys_ = assemble_system(g, f, DirichletBC(f=0.0))
-        # P2 = mass-type remainder, assembled independently from Im(M)
-        mass_only = CoefficientField(
-            lxx=np.full(g.n_elements, 1e-30j), lyy=np.full(g.n_elements, 1e-30j),
-            m=f.m)
-        p2 = assemble_system(g, mass_only, DirichletBC(f=0.0)).a1.dense() - \
-            assemble_system(g, mass_only, DirichletBC(f=0.0)).p1.dense()
-        np.testing.assert_allclose(sys_.p1.dense() + p2, sys_.a1.dense(),
-                                   rtol=0, atol=1e-14)
+        tiny = np.full(g.n_elements, 1e-30j)
+        gradient_only = CoefficientField(lxx=f.lxx, lyy=f.lyy, m=tiny)
+        mass_only = CoefficientField(lxx=tiny, lyy=tiny, m=f.m)
+        a1 = [assemble_system(g, fld, DirichletBC(f=0.0)).a1.mat.toarray()
+              for fld in (f, gradient_only, mass_only)]
+        np.testing.assert_allclose(a1[1] + a1[2], a1[0], rtol=0, atol=1e-14)
 
     def test_block_matrix_symmetric_indefinite(self):
         g = build_grid(UNIT, 4, 4)
@@ -281,7 +280,7 @@ class TestRobin:
             bmass[nb, nb] += edge_len / 3
             bmass[na, nb] += edge_len / 6
             bmass[nb, na] += edge_len / 6
-        diff1 = robin.a1.dense() - neumann.a1.dense()
+        diff1 = robin.a1.mat.toarray() - neumann.a1.mat.toarray()
         diff2 = robin.a2.toarray() - neumann.a2.toarray()
         np.testing.assert_allclose(diff1, 0.9 * bmass, atol=1e-13)
         np.testing.assert_allclose(diff2, -0.3 * bmass, atol=1e-13)

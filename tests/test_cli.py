@@ -256,6 +256,16 @@ cells_per_wavelength = 4
         assert err.startswith("config error:") and message in err
         assert not (out / "solution.csv").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "spectrum"])
+    @pytest.mark.parametrize("line, bad", [
+        ("f = exp(x + y)", "f = exp(1000*x)"),
+        ("l = 1 + 1i", "l = exp(1000) + 1i"),
+    ], ids=["f", "l"])
+    def test_non_finite_data_is_config_error(self, tmp_path, capsys, command, line, bad):
+        cfg = self.write(tmp_path, MINIMAL.replace(line, bad))
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_jobs_flag_keeps_order(self, tmp_path):
         text = """
 [domain]
