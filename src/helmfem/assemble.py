@@ -184,19 +184,17 @@ class BlockSystem:
 
 
 def element_blocks(grid: Grid, fld: CoefficientField, element: int):
-    """Local 4x4 blocks (A1, A2, P1) of one element.
+    """Local 4x4 blocks (A1, A2) of one element.
 
-    A1 = Im(Lx) Sx + Im(Ly) Sy + Im(M) Mc, A2 the same with real parts,
-    P1 the gradient-gradient part of A1.
+    A1 = Im(Lx) Sx + Im(Ly) Sy + Im(M) Mc, A2 the same with real parts.
     """
     if not 0 <= element < grid.n_elements:
         raise ValueError(f"element {element} out of range")
     sx, sy, mc = element_templates(grid.hx, grid.hy)
     lx, ly, m = fld.lxx[element], fld.lyy[element], fld.m[element]
-    p1 = lx.imag * sx + ly.imag * sy
-    a1 = p1 + m.imag * mc
+    a1 = lx.imag * sx + ly.imag * sy + m.imag * mc
     a2 = lx.real * sx + ly.real * sy + m.real * mc
-    return a1, a2, p1
+    return a1, a2
 
 
 def _edge_quadrature(grid: Grid):

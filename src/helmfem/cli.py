@@ -1,4 +1,4 @@
-"""Command-line interface: parse a problem config, run, emit CSV artifacts.
+"""Command-line interface: parse a problem config, run, write artifacts.
 
 Commands: solve, convergence, spectrum, pcg-sweep, rotation-sweep,
 omega-sweep.  Configs are INI files with sections [domain],
@@ -6,6 +6,11 @@ omega-sweep.  Configs are INI files with sections [domain],
 with their line number.  Exit codes: 0 success, 2 config/parse error
 (including non-finite coefficients or boundary data), 3
 admissibility/rotation failure, 4 solver failure.
+
+Every file helmfem writes goes through the artifact writers at the end
+of this module: CSV header plus rows, or ``key = value`` lines, with one
+rule for every cell (a float at 17 significant digits, None empty,
+anything else as ``str``).
 """
 
 from __future__ import annotations
@@ -18,18 +23,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 
 from .assemble import (
     AssemblyError, DirichletBC, NeumannBC, NonFiniteDataError, RobinBC, assemble_system,
 )
 from .coeff import AcousticParams, CoefficientField, HalfPlaneError, acoustic_to_helmholtz
 from .expr import ExprError, compile_expression, parse_complex
-from .solve import ProblemSpec, SolveError, solve, write_meta, write_solution_csv
-from .sparse import PcgConfig, PcgError, write_residual_csv
+from .solve import ProblemSpec, SolveError, solve
+from .sparse import PcgConfig, PcgError
 from .verify import (
-    convergence_study, omega_sweep, pcg_iteration_sweep, rotation_sweep,
-    schur_spectrum, write_convergence_csv, write_omega_sweep_csv,
-    write_pcg_sweep_csv, write_rotation_sweep_csv, write_spectrum_csv,
+    convergence_study, omega_sweep, pcg_iteration_sweep, rotation_sweep, schur_spectrum,
 )
 
 EXIT_OK = 0
@@ -251,9 +255,8 @@ def _run_pcg_sweep(spec, study, out: Path, jobs: int):
         rotation=spec.rotation, mode=spec.mode,
     )
     write_pcg_sweep_csv(cells, out / "pcg_sweep.csv")
-    with open(out / "pcg_flatness.txt", "w") as f:
-        for tol, spread in flatness.items():
-            f.write(f"tol {tol:.3e}: max-min iterations = {spread}\n")
+    _write_keys(((f"tol {tol:.3e}: max-min iterations", spread)
+                 for tol, spread in flatness.items()), out / "pcg_flatness.txt")
     return _sweep_exit(cells, out)
 
 
@@ -262,8 +265,7 @@ def _run_rotation_sweep(spec, study, out: Path, jobs: int):
         raise ConfigError("rotation-sweep needs theta_list in [study]")
     rows, base_err = rotation_sweep(spec, study.theta_list)
     write_rotation_sweep_csv(rows, out / "rotation_sweep.csv")
-    with open(out / "rotation_base_error.txt", "w") as f:
-        f.write(f"base_error = {base_err:.17g}\n")
+    _write_keys([("base_error", base_err)], out / "rotation_base_error.txt")
     return EXIT_OK
 
 
@@ -273,16 +275,13 @@ def _run_omega_sweep(spec, study, out: Path, jobs: int):
     if study.acoustic is None:
         raise ConfigError("omega-sweep needs kind = acoustic in [coefficients]")
 
-    if jobs > 1:
-        # independent cells; results keep input order
-        def one(w):
-            return omega_sweep(study.acoustic, [w], study.cells_per_wavelength,
-                               domain=spec.domain)[0]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, study.omega_list))
-    else:
-        rows = omega_sweep(study.acoustic, study.omega_list,
-                           study.cells_per_wavelength, domain=spec.domain)
+    def one(w):
+        return omega_sweep(study.acoustic, [w], study.cells_per_wavelength,
+                           domain=spec.domain)[0]
+
+    # independent cells; results keep input order
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        rows = list(pool.map(one, study.omega_list))
     write_omega_sweep_csv(rows, out / "omega_sweep.csv")
     return _sweep_exit(rows, out)
 
@@ -290,9 +289,7 @@ def _run_omega_sweep(spec, study, out: Path, jobs: int):
 def _sweep_exit(cells, out: Path) -> int:
     failures = [c for c in cells if not c.ok]
     if failures:
-        with open(out / "failures.txt", "w") as f:
-            for c in failures:
-                f.write(f"{c.params}: {c.error}\n")
+        _write_lines([f"{c.params}: {c.error}" for c in failures], out / "failures.txt")
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -374,14 +371,99 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     elapsed = time.perf_counter() - t0
     if args.command != "solve":  # solve writes its own meta block
-        with open(out / "meta.txt", "w") as f:
-            f.write(f"command = {args.command}\nconfig = {args.config}\n"
-                    f"nx = {spec.nx}\nny = {spec.ny}\nmode = {spec.mode}\n"
-                    f"theta_policy = {spec.rotation}\nrel_tol = {spec.pcg.rel_tol:.17g}\n"
-                    f"jobs = {max(1, args.jobs)}\nwall_time_s = {elapsed:.6f}\n"
-                    f"exit_code = {code}\n")
+        _write_keys({
+            "command": args.command, "config": args.config, "nx": spec.nx, "ny": spec.ny,
+            "mode": spec.mode, "theta_policy": str(spec.rotation),
+            "rel_tol": spec.pcg.rel_tol, "jobs": max(1, args.jobs),
+            "wall_time_s": f"{elapsed:.6f}", "exit_code": code,
+        }.items(), out / "meta.txt")
     print(f"done in {elapsed:.2f}s, artifacts in {out}/", file=sys.stderr)
     return code
+
+
+# ----------------------------------------------------------------------
+# Artifact writers (the path is always the last argument)
+# ----------------------------------------------------------------------
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _write_lines(lines, path) -> None:
+    with open(path, "w") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
+def _write_csv(header: str, rows, path, footer=()) -> None:
+    _write_lines([header, *(",".join(map(_cell, row)) for row in rows), *footer], path)
+
+
+def _write_keys(pairs, path) -> None:
+    _write_lines([f"{key} = {_cell(value)}" for key, value in pairs], path)
+
+
+def write_solution_csv(sol, path) -> None:
+    """(x, y, u_re, u_im) over all grid nodes."""
+    _write_csv("x,y,u_re,u_im", ((x, y, v.real, v.imag)
+                                 for (x, y), v in zip(sol.grid.nodes, sol.u)), path)
+
+
+def write_meta(sol, path) -> None:
+    """Key-value metadata of a solved field."""
+    info = sol.info
+    _write_keys({
+        "nx": sol.grid.nx, "ny": sol.grid.ny, "hx": sol.grid.hx, "hy": sol.grid.hy,
+        "theta_applied": sol.theta_applied, "bc_kind": info.bc_kind, "mode": info.mode,
+        "n_free": info.n_free, "iters_rhs": info.iters_rhs, "iters_outer": info.iters_outer,
+        "iters_imag": info.iters_imag, "inner_iterations": info.inner_iterations,
+        "block_residual_rel": info.residual_rel, "rel_tol": info.rel_tol,
+        "wall_time_s": f"{info.wall_time:.6f}",
+    }.items(), path)
+
+
+def write_residual_csv(residuals, path) -> None:
+    """Outer PCG history as (iteration, relative residual)."""
+    _write_csv("iteration,relative_residual", enumerate(residuals, start=1), path)
+
+
+def write_convergence_csv(study, path) -> None:
+    """Study rows with the rate fitted over the rows so far, then the slope."""
+    def slope_so_far(k):
+        hs = np.array([r[1] for r in study.rows[: k + 1]])
+        v2 = np.array([r[2].v2 for r in study.rows[: k + 1]])
+        if not np.all(v2 > 0):
+            return "undefined"
+        return float(np.polyfit(np.log(hs), np.log(v2), 1)[0])
+
+    rows = ((n, h, rep.v2, slope_so_far(k) if k else None)
+            for k, (n, h, rep) in enumerate(study.rows))
+    slope = "undefined" if study.slope is None else _cell(study.slope)
+    _write_csv("n,h,v2_error,slope_so_far", rows, path, footer=[f"# slope = {slope}"])
+
+
+def write_spectrum_csv(values, path) -> None:
+    _write_csv("index,eigenvalue", enumerate(values), path)
+
+
+def write_pcg_sweep_csv(cells, path) -> None:
+    _write_csv("n,tol,outer_iterations,error",
+               ((*c.params, c.value, c.error) for c in cells), path)
+
+
+def write_rotation_sweep_csv(rows, path) -> None:
+    _write_csv("theta,admissible,error_vs_oracle,max_diff_vs_base",
+               ((r.theta, int(r.admissible), r.error_vs_oracle, r.max_diff_vs_base)
+                for r in rows), path)
+
+
+def write_omega_sweep_csv(rows, path) -> None:
+    def cells(c):
+        v2, iters = (None, None) if c.value is None else (c.value[0].v2, c.value[1])
+        return (*c.params, v2, iters, c.error)
+
+    _write_csv("omega,n,v2_error,outer_iterations,error", map(cells, rows), path)
 
 
 if __name__ == "__main__":

@@ -40,9 +40,7 @@ class Grid:
     interior_nodes : ndarray
         Sorted flat ids of all non-boundary nodes.
     edge_nodes : ndarray, shape (m, 2)
-        Endpoint node ids of each boundary edge.
-    edge_normals : ndarray, shape (m, 2)
-        Outward unit normal per boundary edge.
+        Endpoint node ids of each boundary edge: bottom, top, left, right.
     """
 
     x0: float
@@ -57,9 +55,7 @@ class Grid:
     elements: np.ndarray = field(repr=False)
     boundary_nodes: np.ndarray = field(repr=False)
     interior_nodes: np.ndarray = field(repr=False)
-    is_boundary: np.ndarray = field(repr=False)
     edge_nodes: np.ndarray = field(repr=False)
-    edge_normals: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -140,38 +136,26 @@ def build_grid(domain, nx: int, ny: int) -> Grid:
     n00 = jj * nx + ii
     elements = np.column_stack([n00, n00 + 1, n00 + nx + 1, n00 + nx]).astype(np.int64)
 
-    is_boundary = np.zeros(nx * ny, dtype=bool)
     gi = np.arange(nx * ny) % nx
     gj = np.arange(nx * ny) // nx
-    is_boundary[(gi == 0) | (gi == nx - 1) | (gj == 0) | (gj == ny - 1)] = True
-    boundary_nodes = np.flatnonzero(is_boundary)
-    interior_nodes = np.flatnonzero(~is_boundary)
+    on_boundary = (gi == 0) | (gi == nx - 1) | (gj == 0) | (gj == ny - 1)
+    boundary_nodes = np.flatnonzero(on_boundary)
+    interior_nodes = np.flatnonzero(~on_boundary)
 
     # Boundary edges in fixed order: bottom, top, left, right.
-    edges = []
-    normals = []
-    for i in range(nx - 1):
-        edges.append((i, i + 1))
-        normals.append((0.0, -1.0))
-    top = (ny - 1) * nx
-    for i in range(nx - 1):
-        edges.append((top + i, top + i + 1))
-        normals.append((0.0, 1.0))
-    for j in range(ny - 1):
-        edges.append((j * nx, (j + 1) * nx))
-        normals.append((-1.0, 0.0))
-    for j in range(ny - 1):
-        edges.append((j * nx + nx - 1, (j + 1) * nx + nx - 1))
-        normals.append((1.0, 0.0))
+    i, j = np.arange(nx - 1), np.arange(ny - 1) * nx
+    top, right = (ny - 1) * nx, nx - 1
+    edges = np.concatenate([
+        np.column_stack([i, i + 1]), np.column_stack([top + i, top + i + 1]),
+        np.column_stack([j, j + nx]), np.column_stack([right + j, right + j + nx]),
+    ])
 
     return Grid(
         x0=x0, x1=x1, y0=y0, y1=y1, nx=nx, ny=ny,
         hx=(x1 - x0) / (nx - 1), hy=(y1 - y0) / (ny - 1),
         nodes=nodes, elements=elements,
         boundary_nodes=boundary_nodes, interior_nodes=interior_nodes,
-        is_boundary=is_boundary,
-        edge_nodes=np.array(edges, dtype=np.int64),
-        edge_normals=np.array(normals, dtype=float),
+        edge_nodes=edges.astype(np.int64),
     )
 
 

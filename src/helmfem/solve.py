@@ -83,7 +83,6 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    theta: float
     bc_kind: str
     mode: str
     n_free: int
@@ -92,7 +91,6 @@ class SolveInfo:
     iters_imag: int         # step 6 A1 solve
     inner_iterations: int   # all nested A1 PCG iterations combined
     residual_rel: float     # relative residual of the full block system
-    bnorm: float
     rel_tol: float
     wall_time: float
     outer_residuals: np.ndarray = field(default=None, repr=False)
@@ -255,10 +253,10 @@ def solve(spec: ProblemSpec) -> SolutionField:
     u[system.free_nodes] += alpha_re + 1j * alpha_im
 
     info = SolveInfo(
-        theta=theta, bc_kind=system.bc_kind, mode=spec.mode, n_free=n,
+        bc_kind=system.bc_kind, mode=spec.mode, n_free=n,
         iters_rhs=iters_rhs, iters_outer=iters_outer, iters_imag=iters_imag,
         inner_iterations=solver.total_iters, residual_rel=float(residual),
-        bnorm=bnorm, rel_tol=cfg.rel_tol, wall_time=time.perf_counter() - t0,
+        rel_tol=cfg.rel_tol, wall_time=time.perf_counter() - t0,
         outer_residuals=outer_res,
     )
     return SolutionField(grid=grid, u=u, free_nodes=system.free_nodes,
@@ -299,38 +297,3 @@ def saddle_functional_Y(grid: Grid, fld: CoefficientField,
         )
         total += w * quad.sum()
     return float(total)
-
-
-# ----------------------------------------------------------------------
-# Artifact export
-# ----------------------------------------------------------------------
-
-def write_solution_csv(sol: SolutionField, path) -> None:
-    """CSV of (x, y, u_re, u_im) over all grid nodes, full precision."""
-    with open(path, "w") as f:
-        f.write("x,y,u_re,u_im\n")
-        for (x, y), v in zip(sol.grid.nodes, sol.u):
-            f.write(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}\n")
-
-
-def write_meta(sol: SolutionField, path) -> None:
-    """Key-value metadata block for a solved field."""
-    info = sol.info
-    lines = {
-        "nx": sol.grid.nx, "ny": sol.grid.ny,
-        "hx": f"{sol.grid.hx:.17g}", "hy": f"{sol.grid.hy:.17g}",
-        "theta_applied": f"{sol.theta_applied:.17g}",
-        "bc_kind": info.bc_kind,
-        "mode": info.mode,
-        "n_free": info.n_free,
-        "iters_rhs": info.iters_rhs,
-        "iters_outer": info.iters_outer,
-        "iters_imag": info.iters_imag,
-        "inner_iterations": info.inner_iterations,
-        "block_residual_rel": f"{info.residual_rel:.17g}",
-        "rel_tol": f"{info.rel_tol:.17g}",
-        "wall_time_s": f"{info.wall_time:.6f}",
-    }
-    with open(path, "w") as f:
-        for k, v in lines.items():
-            f.write(f"{k} = {v}\n")

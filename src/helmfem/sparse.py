@@ -180,14 +180,6 @@ def pcg(apply_a, apply_minv, b, cfg: PcgConfig = PcgConfig(), atol: float = None
     )
 
 
-def write_residual_csv(residuals: np.ndarray, path) -> None:
-    """Dump a residual history as (iteration, relative residual) CSV."""
-    with open(path, "w") as f:
-        f.write("iteration,relative_residual\n")
-        for k, r in enumerate(residuals, start=1):
-            f.write(f"{k},{r:.17g}\n")
-
-
 # ----------------------------------------------------------------------
 # Incomplete Cholesky IC(0)
 # ----------------------------------------------------------------------

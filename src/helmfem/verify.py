@@ -45,12 +45,6 @@ class ErrorReport:
     v2: float
     h1_re: float
     h1_im: float
-    l2_re: float
-    l2_im: float
-    h: float
-    n_nodes: int
-    iterations: int = 0
-    wall_time: float = 0.0
 
     @property
     def v_norm(self) -> float:
@@ -102,15 +96,8 @@ def v_norm_error(sol: SolutionField, exact, exact_grad=None,
             np.sum(ex.imag ** 2) + np.sum(ey.imag ** 2),
         ])
     h1 = np.sqrt(l2 + semi)
-    info = sol.info
-    return ErrorReport(
-        v2=float(h1[0] ** 2 + h1[1] ** 2),
-        h1_re=float(h1[0]), h1_im=float(h1[1]),
-        l2_re=float(np.sqrt(l2[0])), l2_im=float(np.sqrt(l2[1])),
-        h=grid.hx, n_nodes=grid.n_nodes,
-        iterations=info.iters_outer if info else 0,
-        wall_time=info.wall_time if info else 0.0,
-    )
+    return ErrorReport(v2=float(h1[0] ** 2 + h1[1] ** 2),
+                       h1_re=float(h1[0]), h1_im=float(h1[1]))
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +365,9 @@ def rotation_sweep(spec: ProblemSpec, theta_list):
     Inadmissible angles are flagged and skipped.  Returns (rows,
     base_error) with errors in the relative nodal 2-norm.
     """
-    grid = spec.build_grid()
+    # the theta = 0 solve validates the inputs before the oracle sees them
+    base = solve(dataclasses.replace(spec, rotation=0.0))
+    grid = base.grid
     fld = spec.build_field(grid)
     fine = build_grid(spec.domain, 2 * spec.nx - 1, 2 * spec.ny - 1)
     fine_u = galerkin_oracle(fine, spec.build_field(fine), spec.bc)
@@ -387,8 +376,6 @@ def rotation_sweep(spec: ProblemSpec, theta_list):
     gj = np.arange(grid.n_nodes) // grid.nx
     reference = fine_u[2 * gj * fine.nx + 2 * gi]
     rnorm = np.linalg.norm(reference)
-
-    base = solve(dataclasses.replace(spec, rotation=0.0))
     base_err = float(np.linalg.norm(base.u - reference) / rnorm)
     base_scale = float(np.abs(base.u).max())
 
@@ -403,59 +390,3 @@ def rotation_sweep(spec: ProblemSpec, theta_list):
         rows.append(RotationSweepRow(theta=float(theta), admissible=True,
                                      error_vs_oracle=err, max_diff_vs_base=diff))
     return rows, base_err
-
-
-# ----------------------------------------------------------------------
-# CSV emitters (plot-ready data for external tooling)
-# ----------------------------------------------------------------------
-
-def write_convergence_csv(study: ConvergenceStudy, path) -> None:
-    with open(path, "w") as f:
-        f.write("n,h,v2_error,slope_so_far\n")
-        for k, (n, h, rep) in enumerate(study.rows):
-            if k >= 1:
-                hs = np.array([r[1] for r in study.rows[: k + 1]])
-                v2 = np.array([r[2].v2 for r in study.rows[: k + 1]])
-                s = (f"{np.polyfit(np.log(hs), np.log(v2), 1)[0]:.17g}"
-                     if np.all(v2 > 0) else "undefined")
-            else:
-                s = ""
-            f.write(f"{n},{h:.17g},{rep.v2:.17g},{s}\n")
-        f.write(f"# slope = {'undefined' if study.slope is None else f'{study.slope:.17g}'}\n")
-
-
-def write_spectrum_csv(values: np.ndarray, path) -> None:
-    with open(path, "w") as f:
-        f.write("index,eigenvalue\n")
-        for k, v in enumerate(values):
-            f.write(f"{k},{v:.17g}\n")
-
-
-def write_pcg_sweep_csv(cells, path) -> None:
-    with open(path, "w") as f:
-        f.write("n,tol,outer_iterations,error\n")
-        for c in cells:
-            n, tol = c.params
-            val = "" if c.value is None else c.value
-            f.write(f"{n},{tol:.17g},{val},{c.error}\n")
-
-
-def write_rotation_sweep_csv(rows, path) -> None:
-    with open(path, "w") as f:
-        f.write("theta,admissible,error_vs_oracle,max_diff_vs_base\n")
-        for r in rows:
-            err = "" if r.error_vs_oracle is None else f"{r.error_vs_oracle:.17g}"
-            diff = "" if r.max_diff_vs_base is None else f"{r.max_diff_vs_base:.17g}"
-            f.write(f"{r.theta:.17g},{int(r.admissible)},{err},{diff}\n")
-
-
-def write_omega_sweep_csv(rows, path) -> None:
-    with open(path, "w") as f:
-        f.write("omega,n,v2_error,outer_iterations,error\n")
-        for c in rows:
-            omega, n = c.params
-            if c.value is None:
-                f.write(f"{omega:.17g},{n},,,{c.error}\n")
-            else:
-                rep, iters = c.value
-                f.write(f"{omega:.17g},{n},{rep.v2:.17g},{iters},\n")

@@ -40,40 +40,32 @@ class TestElementBlocks:
         stiff, mass = symbolic_templates
         g = unit_element_grid()
         f = CoefficientField.constant(g, 1j, 1j)
-        a1, a2, p1 = element_blocks(g, f, 0)
+        a1, a2 = element_blocks(g, f, 0)
         np.testing.assert_allclose(a2, 0.0, atol=1e-15)
         np.testing.assert_allclose(a1, stiff + mass, atol=1e-14)
-        np.testing.assert_allclose(p1, stiff, atol=1e-14)
         assert a1[0, 0] == pytest.approx(2.0 / 3.0 + 1.0 / 9.0)
-
-    def test_p1_depends_only_on_im_l(self):
-        g = unit_element_grid()
-        _, _, p1_ref = element_blocks(g, CoefficientField.constant(g, 1j, 1j), 0)
-        _, _, p1 = element_blocks(g, CoefficientField.constant(g, 1 + 1j, 5 + 7j), 0)
-        np.testing.assert_array_equal(p1, p1_ref)
 
     def test_real_parts_go_to_a2(self, symbolic_templates):
         stiff, mass = symbolic_templates
         g = unit_element_grid()
-        a1, a2, _ = element_blocks(g, CoefficientField.constant(g, 2 + 3j, 4 + 5j), 0)
+        a1, a2 = element_blocks(g, CoefficientField.constant(g, 2 + 3j, 4 + 5j), 0)
         np.testing.assert_allclose(a2, 2 * stiff + 4 * mass, atol=1e-13)
         np.testing.assert_allclose(a1, 3 * stiff + 5 * mass, atol=1e-13)
 
     def test_four_fold_symmetry_on_square_element(self):
         g = unit_element_grid()
-        a1, a2, p1 = element_blocks(g, CoefficientField.constant(g, 1 + 2j, 3 + 4j), 0)
+        a1, a2 = element_blocks(g, CoefficientField.constant(g, 1 + 2j, 3 + 4j), 0)
         perm = np.array([1, 2, 3, 0])  # one quarter turn of the corner ordering
-        for loc in (a1, a2, p1):
+        for loc in (a1, a2):
             np.testing.assert_allclose(loc[np.ix_(perm, perm)], loc, atol=1e-15)
 
     def test_anisotropic_diagonal_l(self, symbolic_templates):
         # distinct Lxx/Lyy weight the x- and y-stiffness parts separately
         g = unit_element_grid()
         f = CoefficientField.constant(g, (2j, 3j), 1j)
-        a1, _, p1 = element_blocks(g, f, 0)
+        a1, _ = element_blocks(g, f, 0)
         sx, sy, mc = element_templates(1.0, 1.0)
-        np.testing.assert_allclose(p1, 2 * sx + 3 * sy, atol=1e-14)
-        np.testing.assert_allclose(a1, p1 + mc, atol=1e-14)
+        np.testing.assert_allclose(a1, 2 * sx + 3 * sy + mc, atol=1e-14)
 
     def test_element_out_of_range(self):
         g = unit_element_grid()
@@ -92,7 +84,7 @@ class TestAssembleDirichlet:
         assert sys_.n == 1
         expected = 0.0
         for e in range(4):
-            a1loc, a2loc, _ = element_blocks(g, f, e)
+            a1loc, a2loc = element_blocks(g, f, e)
             corner = int(np.flatnonzero(g.elements[e] == 4)[0])
             expected += a1loc[corner, corner]
         assert sys_.a1.mat.toarray()[0, 0] == pytest.approx(expected)
@@ -119,7 +111,7 @@ class TestAssembleDirichlet:
         a1f = np.zeros((n, n))
         a2f = np.zeros((n, n))
         for e in range(g.n_elements):
-            a1loc, a2loc, _ = element_blocks(g, f, e)
+            a1loc, a2loc = element_blocks(g, f, e)
             idx = g.elements[e]
             a1f[np.ix_(idx, idx)] += a1loc
             a2f[np.ix_(idx, idx)] += a2loc

@@ -1,12 +1,17 @@
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from helmfem import cli, verify
 from helmfem.cli import ConfigError, main, parse_config
+from helmfem.grid import build_grid
+from helmfem.solve import SolutionField
 from helmfem.sparse import PcgConfig
+from helmfem.verify import ConvergenceStudy, RotationSweepRow, SweepCell
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -266,6 +271,19 @@ cells_per_wavelength = 4
         assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_rotation_sweep_validates_before_oracle(self, tmp_path, monkeypatch):
+        # bad boundary data fails the first solve before the fine-grid
+        # oracle ever runs on it
+        calls = []
+        oracle = verify.galerkin_oracle
+        monkeypatch.setattr(verify, "galerkin_oracle",
+                            lambda *args: calls.append(args) or oracle(*args))
+        text = (MINIMAL.replace("f = exp(x + y)", "f = exp(1000*x)")
+                + "\n[study]\ntheta_list = 0, 0.5\n")
+        cfg = self.write(tmp_path, text)
+        assert run_cli(["rotation-sweep", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert calls == []
+
     def test_jobs_flag_keeps_order(self, tmp_path):
         text = """
 [domain]
@@ -290,6 +308,115 @@ cells_per_wavelength = 4
         assert run_cli(["omega-sweep", "--config", cfg, "--out", seq]) == 0
         assert run_cli(["omega-sweep", "--config", cfg, "--out", par, "--jobs", "3"]) == 0
         assert (seq / "omega_sweep.csv").read_bytes() == (par / "omega_sweep.csv").read_bytes()
+
+
+class TestArtifactFormat:
+    """Byte-exact output of every artifact writer on hand-built input.
+
+    One rule formats every cell: a float at 17 significant digits, None
+    as an empty cell, anything else through str."""
+
+    def written(self, tmp_path, writer, data):
+        path = tmp_path / "artifact"
+        writer(data, path)
+        return path.read_text()
+
+    def field(self, info=None, theta=0.0):
+        grid = build_grid((0, 1, 0, 0.5), 2, 2)
+        return SolutionField(grid=grid, u=np.array([1 + 2j, 0.1 - 0.5j, 1 / 3, -2j]),
+                             free_nodes=np.arange(4), theta_applied=theta, info=info)
+
+    def test_solution_csv(self, tmp_path):
+        assert self.written(tmp_path, cli.write_solution_csv, self.field()) == (
+            "x,y,u_re,u_im\n"
+            "0,0,1,2\n"
+            "1,0,0.10000000000000001,-0.5\n"
+            "0,0.5,0.33333333333333331,0\n"
+            "1,0.5,-0,-2\n")
+
+    def test_solve_meta(self, tmp_path):
+        info = SimpleNamespace(
+            bc_kind="robin", mode="direct", n_free=4, iters_rhs=0, iters_outer=3,
+            iters_imag=0, inner_iterations=0, residual_rel=1e-11 / 3, rel_tol=1e-10,
+            wall_time=0.25)
+        assert self.written(tmp_path, cli.write_meta, self.field(info, theta=0.1)) == (
+            "nx = 2\nny = 2\nhx = 1\nhy = 0.5\n"
+            "theta_applied = 0.10000000000000001\n"
+            "bc_kind = robin\nmode = direct\nn_free = 4\n"
+            "iters_rhs = 0\niters_outer = 3\niters_imag = 0\ninner_iterations = 0\n"
+            "block_residual_rel = 3.3333333333333331e-12\n"
+            "rel_tol = 1e-10\nwall_time_s = 0.250000\n")
+
+    def test_residual_csv(self, tmp_path):
+        assert self.written(tmp_path, cli.write_residual_csv, np.array([0.5, 1e-3, 1 / 3])) == (
+            "iteration,relative_residual\n1,0.5\n2,0.001\n3,0.33333333333333331\n")
+
+    def test_spectrum_csv(self, tmp_path):
+        assert self.written(tmp_path, cli.write_spectrum_csv, np.array([1.0, 2.5, 1 / 3])) == (
+            "index,eigenvalue\n0,1\n1,2.5\n2,0.33333333333333331\n")
+
+    def test_convergence_csv(self, tmp_path):
+        study = ConvergenceStudy(rows=[
+            (5, 0.25, SimpleNamespace(v2=0.1)),
+            (9, 0.125, SimpleNamespace(v2=0.026)),
+            (17, 0.0625, SimpleNamespace(v2=0.0066)),
+        ], slope=1.96)
+        assert self.written(tmp_path, cli.write_convergence_csv, study) == (
+            "n,h,v2_error,slope_so_far\n"
+            "5,0.25,0.10000000000000001,\n"
+            "9,0.125,0.025999999999999999,1.9434164716336328\n"
+            "17,0.0625,0.0066,1.9606950826518175\n"
+            "# slope = 1.96\n")
+
+    def test_convergence_csv_zero_error(self, tmp_path):
+        study = ConvergenceStudy(rows=[
+            (5, 0.25, SimpleNamespace(v2=0.1)), (9, 0.125, SimpleNamespace(v2=0.0)),
+        ], slope=None)
+        assert self.written(tmp_path, cli.write_convergence_csv, study) == (
+            "n,h,v2_error,slope_so_far\n"
+            "5,0.25,0.10000000000000001,\n"
+            "9,0.125,0,undefined\n"
+            "# slope = undefined\n")
+
+    def test_pcg_sweep_csv(self, tmp_path):
+        cells = [SweepCell((8, 1e-4), 5),
+                 SweepCell((12, 1e-8), None, "[admissibility] not admissible")]
+        assert self.written(tmp_path, cli.write_pcg_sweep_csv, cells) == (
+            "n,tol,outer_iterations,error\n"
+            "8,0.0001,5,\n"
+            "12,1e-08,,[admissibility] not admissible\n")
+
+    def test_rotation_sweep_csv(self, tmp_path):
+        rows = [RotationSweepRow(-0.5, True, 1e-3, 2e-9),
+                RotationSweepRow(0.0, True, 0.1, 0.0),
+                RotationSweepRow(2.5, False)]
+        assert self.written(tmp_path, cli.write_rotation_sweep_csv, rows) == (
+            "theta,admissible,error_vs_oracle,max_diff_vs_base\n"
+            "-0.5,1,0.001,2.0000000000000001e-09\n"
+            "0,1,0.10000000000000001,0\n"
+            "2.5,0,,\n")
+
+    def test_omega_sweep_csv(self, tmp_path):
+        rows = [SweepCell((1.0, 9), (SimpleNamespace(v2=0.1), 7)),
+                SweepCell((30.0, 27), None, "[step 4 (Schur solve)] no convergence")]
+        assert self.written(tmp_path, cli.write_omega_sweep_csv, rows) == (
+            "omega,n,v2_error,outer_iterations,error\n"
+            "1,9,0.10000000000000001,7,\n"
+            "30,27,,,[step 4 (Schur solve)] no convergence\n")
+
+    def test_command_meta(self, tmp_path):
+        cfg = tmp_path / "problem.ini"
+        cfg.write_text(MINIMAL.replace("nx = 9", "nx = 5"))
+        out = tmp_path / "out"
+        assert run_cli(["spectrum", "--config", cfg, "--out", out,
+                        "--theta", "0.1", "--tol", "1e-8"]) == 0
+        lines = (out / "meta.txt").read_text().splitlines()
+        assert lines.pop(8).startswith("wall_time_s = ")
+        assert lines == [
+            "command = spectrum", f"config = {cfg}", "nx = 5", "ny = 5",
+            "mode = implicit", "theta_policy = 0.1", "rel_tol = 1e-08", "jobs = 1",
+            "exit_code = 0",
+        ]
 
 
 class TestShippedConfigs:

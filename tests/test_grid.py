@@ -38,15 +38,6 @@ class TestBuildGrid:
         assert edge_ids == set(g.boundary_nodes.tolist())
         assert not edge_ids & set(g.interior_nodes.tolist())
 
-    def test_edge_normals_outward_unit(self):
-        g = build_grid((0, 2, -1, 1), 4, 4)
-        mids = 0.5 * (g.nodes[g.edge_nodes[:, 0]] + g.nodes[g.edge_nodes[:, 1]])
-        norms = np.hypot(g.edge_normals[:, 0], g.edge_normals[:, 1])
-        np.testing.assert_allclose(norms, 1.0)
-        center = np.array([1.0, 0.0])
-        # outward: normal points away from the domain center
-        assert np.all(np.sum((mids - center) * g.edge_normals, axis=1) > 0)
-
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             build_grid(UNIT, 1, 5)

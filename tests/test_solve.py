@@ -161,7 +161,7 @@ class TestSaddleFunctional:
         a1 = np.zeros((n, n))
         a2 = np.zeros((n, n))
         for e in range(g.n_elements):
-            l1, l2, _ = element_blocks(g, f, e)
+            l1, l2 = element_blocks(g, f, e)
             idx = g.elements[e]
             a1[np.ix_(idx, idx)] += l1
             a2[np.ix_(idx, idx)] += l2

@@ -254,4 +254,3 @@ class TestOmegaSweep:
             rotation="off")
         sol = solve(spec)
         assert iters == sol.info.iters_outer
-        assert rep.n_nodes == n * n
