@@ -8,10 +8,12 @@ imaginary part from a plain ``A1`` solve.  In "implicit" mode every
 ``A1`` solve (including the ones nested inside the Schur operator) is
 itself PCG, preconditioned by one symmetric geometric-multigrid V-cycle
 on the tensor grid, so its iteration counts do not grow with the mesh
-size.  "direct" mode replaces the inner PCG by a cached sparse direct
-factorization.  The paper's zero-fill incomplete Cholesky factorization
-(iteration counts growing like 1/h) remains as a library routine,
-:func:`ic0`; no solve path uses it.
+size.  "direct" mode replaces the inner PCG by a cached sparse LU of
+``A1`` with a symmetric minimum-degree ordering and diagonal pivots.
+A non-finite vector in either mode raises :class:`PcgBreakdownError`.
+The paper's zero-fill incomplete Cholesky factorization (iteration
+counts growing like 1/h) remains as a library routine, :func:`ic0`; no
+solve path uses it.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ class PcgError(RuntimeError):
 
 
 class PcgBreakdownError(PcgError):
-    """Non-positive curvature encountered: the operator (or the
-    preconditioner) is not positive definite.  For assembled systems this
-    indicates an inadmissible coefficient field."""
+    """Non-positive or non-finite curvature encountered, or a non-finite
+    direct solve: the operator (or the preconditioner) is not positive
+    definite, or a NaN or infinity reached it.  For assembled systems with
+    finite data this indicates an inadmissible coefficient field."""
 
 
 class PcgNonConvergenceError(PcgError):
@@ -294,9 +297,11 @@ def ic0(a, max_retries: int = 20) -> ICFactor:
 # Geometric multigrid on the tensor grid
 # ----------------------------------------------------------------------
 
-# The V-cycle stays positive definite while MG_OMEGA * max eig(D^-1 A) < 2;
-# on the fine grid that eigenvalue is at most 3 for bilinear elements.
-MG_OMEGA = 0.6     # damped-Jacobi weight
+# The V-cycle stays positive definite while omega * max eig(D^-1 A) < 2 on
+# every level.  Each level takes omega = MG_WEIGHT / g with g the Gershgorin
+# bound max_i sum_j |a_ij| / a_ii >= max eig(D^-1 A), so omega * max eig
+# <= MG_WEIGHT (on the fine grid g is about 2, so omega is about 0.75).
+MG_WEIGHT = 1.5
 MG_SWEEPS = 2      # Jacobi sweeps before and after each coarse correction
 MG_MIN_SIDE = 4    # shorter sides are not coarsened
 MG_COARSE_MAX = 300  # unknowns at most on the coarsest level, which is solved densely
@@ -336,14 +341,17 @@ class Multigrid:
     other's is not coarsened, which keeps coarse cells near square on
     stretched grids.  Coarse operators are Galerkin products
     ``P^T A P``; each level smooths with ``MG_SWEEPS`` damped-Jacobi
-    sweeps before and after its coarse correction.  The
-    grid is coarsened at least once (so the cycle is never an exact
+    sweeps before and after its coarse correction, weighted by
+    ``MG_WEIGHT`` over that level's Gershgorin bound on
+    ``max eig(D^-1 A)``, and restricts its last pre-smoothing residual.
+    The grid is coarsened at least once (so the cycle is never an exact
     solve, unless no side has ``MG_MIN_SIDE`` nodes) and then until at
-    most ``MG_COARSE_MAX`` unknowns are left, where a dense Cholesky
-    factorization solves; below that size a dense solve costs less than
-    the per-level overhead of further levels.  Identical pre- and
-    post-smoothing make the cycle symmetric, and ``MG_OMEGA`` keeps it
-    positive definite.
+    most ``MG_COARSE_MAX`` unknowns are left, whose explicit inverse,
+    from a dense Cholesky factorization and symmetrised, is applied as
+    one matrix-vector product; below that size a dense solve costs less
+    than the per-level overhead of further levels.  Identical pre- and
+    post-smoothing make the cycle symmetric, and ``MG_WEIGHT`` < 2 keeps
+    it positive definite on every level.
     """
 
     def __init__(self, a, grid, free_nodes: np.ndarray):
@@ -364,15 +372,18 @@ class Multigrid:
             free_c = free.reshape(len(y), len(x))[ky][:, kx].ravel()
             p = sps.kron(py, px, format="csr")[free][:, free_c]
             pt = p.T.tocsr()
-            self.levels.append((a, MG_OMEGA / a.diagonal(), p, pt))
+            d = a.diagonal()
+            g = (abs(a).sum(axis=1).A1 / d).max()
+            self.levels.append((a, (MG_WEIGHT / g) / d, p, pt))
             a = (pt @ a @ p).tocsr()
             x, y, free = x[kx], y[ky], free_c
         try:
-            self.coarse = scipy.linalg.cho_factor(a.toarray())
+            inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a.toarray()), np.eye(a.shape[0]))
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise PcgBreakdownError(
                 f"coarsest multigrid operator is not finite and positive definite: {exc}"
             ) from exc
+        self.coarse_inv = 0.5 * (inv + inv.T)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """One V-cycle from a zero initial guess: an approximation of A^{-1} b."""
@@ -380,14 +391,17 @@ class Multigrid:
 
     def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == len(self.levels):
-            return scipy.linalg.cho_solve(self.coarse, b)
-        a, wdinv, p, pt = self.levels[level]
-        x = wdinv * b
-        for _ in range(MG_SWEEPS - 1):
-            x += wdinv * (b - a @ x)
-        x += p @ self._cycle(level + 1, pt @ (b - a @ x))
-        for _ in range(MG_SWEEPS):
-            x += wdinv * (b - a @ x)
+            return self.coarse_inv @ b
+        a, wd, p, pt = self.levels[level]
+        x = wd * b
+        r = np.empty_like(b)
+        for sweep in range(2 * MG_SWEEPS):      # the first sweep was x = wd * b
+            np.subtract(b, a @ x, out=r)
+            if sweep == MG_SWEEPS - 1:          # restrict the last pre-smoothing residual
+                x += p @ self._cycle(level + 1, pt @ r)
+            else:
+                r *= wd
+                x += r
         return x
 
 
@@ -402,8 +416,8 @@ class A1Solver:
     mode "implicit": PCG preconditioned by one :class:`Multigrid` V-cycle
     on ``A1`` over the system's grid and free nodes, built on the first
     solve.
-    mode "direct": a cached sparse direct factorization of ``A1`` used
-    for exact solves.
+    mode "direct": a cached sparse LU of ``A1`` (minimum degree on
+    ``A1 + A1^T``, diagonal pivots) used for exact solves.
     """
 
     def __init__(self, system, mode: str = "implicit",
@@ -421,8 +435,12 @@ class A1Solver:
         a1 = self.system.a1
         if self.mode == "direct":
             if self._lu is None:
-                self._lu = spla.splu(a1.mat.tocsc())
-            return self._lu.solve(np.asarray(b, dtype=float))
+                self._lu = spla.splu(a1.mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            x = self._lu.solve(np.asarray(b, dtype=float))
+            if not np.isfinite(x).all():
+                raise PcgBreakdownError("direct A1 solve produced non-finite values")
+            return x
         if self._minv is None:
             self._minv = Multigrid(a1.mat, self.system.grid, self.system.free_nodes).apply
         res = pcg(a1.matvec, self._minv, b, self.cfg, atol=atol)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sps
 
 from helmfem import (
@@ -233,6 +234,14 @@ class TestA1Solver:
         dire = A1Solver(sys_, mode="direct").solve(b)
         np.testing.assert_allclose(imp, dire, atol=1e-9)
 
+    @pytest.mark.parametrize("mode", ["implicit", "direct"])
+    def test_non_finite_rhs_breaks_down(self, mode):
+        sys_ = dirichlet_system(9, 1 + 1j, 2 + 2j)
+        b = np.ones(sys_.n)
+        b[3] = np.nan
+        with pytest.raises(PcgBreakdownError):
+            A1Solver(sys_, mode=mode).solve(b)
+
     def test_unknown_mode_rejected(self):
         sys_ = dirichlet_system(4, 1j, 1j)
         with pytest.raises(ValueError):
@@ -260,6 +269,24 @@ def mg_system(n, coeff, bc):
     return g, assemble_system(g, MG_COEFFS[coeff](g), MG_BCS[bc])
 
 
+def assert_weighted_and_coarse_exact(mg):
+    """omega_l * max eig(D_l^-1 A_l) <= 1.5 (< 2 keeps the cycle SPD) on
+    every smoothing level, by dense eigvalsh (whose rounding may exceed
+    the exact Gershgorin bound in the last bits); the explicit coarsest
+    inverse is symmetric and agrees with a Cholesky solve."""
+    for a, wd, _, _ in mg.levels:
+        s = np.sqrt(wd)
+        lam = np.linalg.eigvalsh(s[:, None] * a.toarray() * s[None, :])
+        assert 0.0 < lam[0] and lam[-1] <= 1.5 * (1 + 1e-12)
+    a, _, p, pt = mg.levels[-1]
+    coarse = (pt @ a @ p).toarray()
+    inv = mg.coarse_inv
+    assert np.array_equal(inv, inv.T)
+    b = np.random.default_rng(6).standard_normal(len(coarse))
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(coarse), b)
+    assert np.linalg.norm(inv @ b - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 class TestMultigrid:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 20])
     def test_prolongation_is_linear_interpolation(self, n):
@@ -285,6 +312,20 @@ class TestMultigrid:
             bx, by = mg.apply(x), mg.apply(y)
             assert x @ bx > 0.0 and y @ by > 0.0
             assert abs(x @ by - y @ bx) <= 1e-12 * np.sqrt((x @ bx) * (y @ by))
+
+    @pytest.mark.parametrize("n", [9, 20])
+    @pytest.mark.parametrize("coeff", sorted(MG_COEFFS))
+    @pytest.mark.parametrize("bc", sorted(MG_BCS))
+    def test_smoother_weight_per_level(self, n, coeff, bc):
+        g, sys_ = mg_system(n, coeff, bc)
+        assert_weighted_and_coarse_exact(Multigrid(sys_.a1.mat, g, sys_.free_nodes))
+
+    @pytest.mark.parametrize("nx, ny", [(65, 5), (129, 4)])
+    def test_smoother_weight_on_stretched_grid(self, nx, ny):
+        # max eig(D^-1 A) is about 2.99 here, above the fine-grid 2 of square cells
+        g = build_grid(UNIT, nx, ny)
+        sys_ = assemble_system(g, MG_COEFFS["constant"](g), MG_BCS["neumann"])
+        assert_weighted_and_coarse_exact(Multigrid(sys_.a1.mat, g, sys_.free_nodes))
 
     @pytest.mark.parametrize("n", [17, 20, 33, 40, 65, 80, 129])
     def test_inner_iterations_mesh_independent(self, n):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from helmfem import (
     galerkin_oracle, omega_sweep, pcg_iteration_sweep, rotation_sweep,
     schur_spectrum, solve, v_norm_error,
 )
+from helmfem.cli import parse_config
 from helmfem.verify import oracle_solution_field
 
+PCG_INI = Path(__file__).resolve().parents[1] / "configs" / "paper" / "pcg.ini"
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
 MANUFACTURED = dict(
@@ -194,6 +198,18 @@ class TestPcgSweep:
     def test_flatness_across_grid_sizes(self):
         cells, flatness = pcg_iteration_sweep((3 + 2j, 1 + 4j), [10, 20, 40], [1e-8])
         assert flatness[1e-8] <= 5
+
+    def test_pcg_ini_outer_counts_pinned(self):
+        # the paper's outer counts for configs/paper/pcg.ini, flat in n;
+        # any change to the inner A1 solve must leave them as they are
+        spec, study = parse_config(PCG_INI.read_text())
+        cells, flatness = pcg_iteration_sweep(spec.coeff, study.n_list, study.tol_list,
+                                              domain=spec.domain, rotation=spec.rotation,
+                                              mode=spec.mode)
+        expected = {1e-4: 5, 1e-8: 7, 1e-12: 9}
+        assert {c.params: c.value for c in cells} == {
+            (n, tol): its for tol, its in expected.items() for n in (20, 40, 80)}
+        assert flatness == dict.fromkeys(expected, 0)
 
     def test_cell_failures_recorded_not_fatal(self):
         # inadmissible coefficients with rotation off: every cell fails,
