@@ -22,7 +22,7 @@ from .sparse import (
     PcgNonConvergenceError, PcgResult, SchurOperator, SparseSym, ic0, pcg,
 )
 from .solve import (
-    ProblemSpec, SolutionField, SolveError, SolveInfo, saddle_functional_Y, solve,
+    ProblemSpec, SolutionField, SolveError, SolveInfo, saddle_functional_Y, setup, solve,
 )
 from .verify import (
     ConvergenceStudy, ErrorReport, constitutive_spectrum, convergence_study,

@@ -45,17 +45,18 @@ class NonFiniteDataError(AssemblyError):
 # Element templates
 # ----------------------------------------------------------------------
 
-def element_templates(hx: float, hy: float, order: int = 2):
+def element_templates(hx: float, hy: float):
     """Template 4x4 matrices (Sx, Sy, Mc) on an hx-by-hy rectangle.
 
     Sx = integral of dN_k/dx dN_j/dx, Sy likewise in y, Mc = integral of
-    N_k N_j.  Every element of a tensor-product grid is congruent, so one
-    template of each kind serves the whole mesh.
+    N_k N_j, by the 2-point Gauss rule per direction.  Every element of a
+    tensor-product grid is congruent, so one template of each kind serves
+    the whole mesh.
     """
     sx = np.zeros((4, 4))
     sy = np.zeros((4, 4))
     mc = np.zeros((4, 4))
-    for _, w, n, dx, dy in gauss_points(hx, hy, order):
+    for _, w, n, dx, dy in gauss_points(hx, hy, 2):
         sx += w * np.outer(dx, dx)
         sy += w * np.outer(dy, dy)
         mc += w * np.outer(n, n)

@@ -25,13 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .assemble import (
-    AssemblyError, DirichletBC, NeumannBC, NonFiniteDataError, RobinBC, assemble_system,
-)
-from .coeff import AcousticParams, CoefficientField, HalfPlaneError, acoustic_to_helmholtz
-from .expr import ExprError, compile_expression, parse_complex
-from .solve import ProblemSpec, SolveError, solve
-from .sparse import PcgConfig, PcgError
+# assemble_system is unused here; perfbench/tracer.py wraps cli.assemble_system
+# and tests/test_bench_contract.py pins that wrap point.
+from .assemble import DirichletBC, NeumannBC, RobinBC, assemble_system  # noqa: F401
+from .coeff import AcousticParams, CoefficientField, acoustic_to_helmholtz
+from .expr import compile_expression, parse_complex
+from .solve import ProblemSpec, SolveError, setup, solve
+from .sparse import PcgConfig
 from .verify import (
     convergence_study, omega_sweep, pcg_iteration_sweep, rotation_sweep, schur_spectrum,
 )
@@ -41,7 +41,11 @@ EXIT_CONFIG = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_SOLVER = 4
 
-COMMANDS = ("solve", "convergence", "spectrum", "pcg-sweep", "rotation-sweep", "omega-sweep")
+# exit code of a SolveError by its stage; any other stage is a solver failure
+_STAGE_EXIT = {"setup": EXIT_CONFIG, "admissibility": EXIT_ADMISSIBILITY,
+               "rotation": EXIT_ADMISSIBILITY}
+_EXIT_LABEL = {EXIT_CONFIG: "config error", EXIT_ADMISSIBILITY: "admissibility error",
+               EXIT_SOLVER: "solver error"}
 
 
 class ConfigError(ValueError):
@@ -208,9 +212,9 @@ def parse_config(text: str):
             if "exact" in st:
                 study.exact = compile_expression(st["exact"])
         return spec, study
-    except (KeyError, ValueError, ArithmeticError, ExprError, AssemblyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except (KeyError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 
@@ -238,9 +242,8 @@ def _run_convergence(spec, study, out: Path, jobs: int):
 
 
 def _run_spectrum(spec, study, out: Path, jobs: int):
-    grid = spec.build_grid()
-    fld = spec.build_field(grid)
-    system = assemble_system(grid, fld, spec.bc)
+    # the spectrum of the system as given: no rotation policy applies
+    _, _, system = setup(dataclasses.replace(spec, rotation="off"))
     spectra = schur_spectrum(system)
     write_spectrum_csv(spectra.raw, out / "spectrum_raw.csv")
     write_spectrum_csv(spectra.preconditioned, out / "spectrum_preconditioned.csv")
@@ -310,7 +313,7 @@ def main(argv=None) -> int:
         description="Finite-element solver for the complex Helmholtz equation "
                     "(saddle-point formulation, two SPD solves per problem).",
     )
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=_RUNNERS)
     ap.add_argument("--config", required=True, help="problem config file (INI)")
     ap.add_argument("--out", default="out", help="output directory (created if missing)")
     ap.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
@@ -327,13 +330,8 @@ def main(argv=None) -> int:
 
     try:
         spec, study = parse_config(text)
-    except (ConfigError, ExprError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.mode:
-        spec = dataclasses.replace(spec, mode=args.mode)
-    try:
+        if args.mode:
+            spec = dataclasses.replace(spec, mode=args.mode)
         if args.tol is not None:
             spec = dataclasses.replace(
                 spec, pcg=dataclasses.replace(spec.pcg, rel_tol=args.tol,
@@ -341,34 +339,19 @@ def main(argv=None) -> int:
         if args.theta is not None:
             rot = args.theta if args.theta in ("auto", "off") else float(args.theta)
             spec = dataclasses.replace(spec, rotation=rot)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.perf_counter()
-    try:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
         code = _RUNNERS[args.command](spec, study, out, max(1, args.jobs))
-    except (ConfigError, NonFiniteDataError) as exc:
+    except SolveError as exc:
+        code = _STAGE_EXIT.get(exc.stage, EXIT_SOLVER)
+        print(f"{_EXIT_LABEL[code]}: {exc}", file=sys.stderr)
+        return code
+    except ValueError as exc:
+        # ConfigError, ExprError and the library's argument checks; every
+        # AssemblyError, HalfPlaneError and PcgError arrives as a SolveError.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolveError as exc:
-        if exc.stage == "setup":
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        if exc.stage in ("admissibility", "rotation"):
-            print(f"admissibility error: {exc}", file=sys.stderr)
-            return EXIT_ADMISSIBILITY
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (HalfPlaneError, AssemblyError) as exc:
-        print(f"admissibility error: {exc}", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except PcgError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     elapsed = time.perf_counter() - t0
     if args.command != "solve":  # solve writes its own meta block
         _write_keys({

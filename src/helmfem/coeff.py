@@ -31,8 +31,7 @@ class CoefficientField:
     """Per-element complex coefficients of ``div(L grad u) = M u``.
 
     ``lxx``/``lyy`` hold the diagonal of L (equal arrays when L is scalar)
-    and ``m`` holds M, one value per element.  ``theta_applied`` accumulates
-    rotation angles applied via :func:`rotate`.  Immutable; rotation
+    and ``m`` holds M, one value per element.  Immutable; :func:`rotate`
     returns a new field.
     """
 
@@ -40,7 +39,6 @@ class CoefficientField:
     lyy: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
     scalar_l: bool = True
-    theta_applied: float = 0.0
 
     def __post_init__(self):
         if not (len(self.lxx) == len(self.lyy) == len(self.m)):
@@ -195,8 +193,7 @@ def rotate(field: CoefficientField, theta: float) -> CoefficientField:
     """Multiply every coefficient by e^{i*theta}.
 
     The solution set of the PDE is unchanged; only the admissibility of
-    the coefficient field is affected.  Returns a new field with
-    ``theta_applied`` incremented.
+    the coefficient field is affected.  Returns a new field.
     """
     if theta == 0.0:
         return dataclasses.replace(field)
@@ -206,7 +203,6 @@ def rotate(field: CoefficientField, theta: float) -> CoefficientField:
         lyy=field.lyy * phase,
         m=field.m * phase,
         scalar_l=field.scalar_l,
-        theta_applied=field.theta_applied + theta,
     )
 
 

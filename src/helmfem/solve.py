@@ -179,17 +179,15 @@ def _check_inputs(fld: CoefficientField, bc) -> None:
             raise SolveError("setup", f"coefficient {name} has non-finite values")
 
 
-def solve(spec: ProblemSpec) -> SolutionField:
-    """Solve the problem described by ``spec``.
-
-    Returns a SolutionField whose coefficients satisfy the full block
-    system to a relative residual reported in ``info.residual_rel``
-    (within 10x the configured outer tolerance).  Failures are raised as
-    SolveError with the stage label (setup / admissibility / rotation /
-    step 3 / step 4 / step 6).
-    """
-    t0 = time.perf_counter()
-    grid = spec.build_grid()
+def setup(spec: ProblemSpec):
+    """Every stage before the solve: grid, coefficient field, input checks,
+    rotation, admissibility, rotated boundary data and assembly.  Returns
+    (grid, theta, system); failures are raised as SolveError with the stage
+    label setup / rotation / admissibility / assembly."""
+    try:
+        grid = spec.build_grid()
+    except ValueError as exc:
+        raise SolveError("setup", str(exc)) from exc
     fld0 = spec.build_field(grid)
     _check_inputs(fld0, spec.bc)
 
@@ -210,6 +208,20 @@ def solve(spec: ProblemSpec) -> SolutionField:
         raise SolveError("setup", str(exc)) from exc
     except AssemblyError as exc:
         raise SolveError("assembly", str(exc)) from exc
+    return grid, theta, system
+
+
+def solve(spec: ProblemSpec) -> SolutionField:
+    """Solve the problem described by ``spec``.
+
+    Returns a SolutionField whose coefficients satisfy the full block
+    system to a relative residual reported in ``info.residual_rel``
+    (within 10x the configured outer tolerance).  Failures are raised as
+    SolveError with the stage label (setup / admissibility / rotation /
+    assembly / step 3 / step 4 / step 6).
+    """
+    t0 = time.perf_counter()
+    grid, theta, system = setup(spec)
 
     cfg = spec.pcg
     solver = A1Solver(system, mode=spec.mode, rel_tol=cfg.inner_rel_tol, max_iter=cfg.max_iter)

@@ -22,8 +22,8 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .assemble import (
-    AssemblyError, BlockSystem, DirichletBC, _as_boundary_fn, _boundary_load,
-    _boundary_mass, _volume_matrix, element_templates,
+    BlockSystem, DirichletBC, _as_boundary_fn, _boundary_load, _boundary_mass,
+    _volume_matrix, element_templates,
 )
 from .coeff import AcousticParams, CoefficientField, acoustic_to_helmholtz, admissibility, rotate
 from .grid import Grid, build_grid, gauss_points
@@ -59,9 +59,11 @@ def _fd_gradient(fn, step=1e-6):
     return grad
 
 
-def v_norm_error(sol: SolutionField, exact, exact_grad=None,
-                 quadrature_order: int = 3) -> ErrorReport:
+def v_norm_error(sol: SolutionField, exact, exact_grad=None) -> ErrorReport:
     """V-norm error of ``sol`` against an exact solution.
+
+    The per-direction Gauss order is 3, above assembly's 2, to keep
+    superconvergence effects out of the measured norm.
 
     Parameters
     ----------
@@ -70,9 +72,6 @@ def v_norm_error(sol: SolutionField, exact, exact_grad=None,
         Complex exact solution u(x, y); must broadcast over arrays.
     exact_grad : callable, optional
         (du/dx, du/dy); defaults to central differences with step 1e-6.
-    quadrature_order : int
-        Per-direction Gauss order (default 3, above assembly's 2 to keep
-        superconvergence effects out of the measured norm).
     """
     if exact_grad is None:
         exact_grad = _fd_gradient(exact)
@@ -83,7 +82,7 @@ def v_norm_error(sol: SolutionField, exact, exact_grad=None,
 
     l2 = np.zeros(2)
     semi = np.zeros(2)
-    for (a, b), w, n, dx, dy in gauss_points(grid.hx, grid.hy, quadrature_order):
+    for (a, b), w, n, dx, dy in gauss_points(grid.hx, grid.hy, 3):
         x = corners[:, 0] + (a + 1.0) * grid.hx / 2.0
         y = corners[:, 1] + (b + 1.0) * grid.hy / 2.0
         eu = uc @ n - exact(x, y)
@@ -150,9 +149,6 @@ class ConvergenceStudy:
 
     rows: list
     slope: float
-
-    def table(self):
-        return [(n, h, rep.v2) for n, h, rep in self.rows]
 
 
 def convergence_study(spec: ProblemSpec, n_list, exact, exact_grad=None) -> ConvergenceStudy:
@@ -224,14 +220,15 @@ class SchurSpectrum:
         return float(self.preconditioned.max() / self.preconditioned.min())
 
 
-def schur_spectrum(system: BlockSystem, size_limit: int = 900) -> SchurSpectrum:
-    """Dense spectra of the Schur complement, raw and A1-preconditioned.
+def schur_spectrum(system: BlockSystem) -> SchurSpectrum:
+    """Dense spectra of the Schur complement, raw and A1-preconditioned,
+    for at most 900 unknowns.
 
     The preconditioned eigenvalues are real and >= 1 because
     A2^T A1^{-1} A2 is positive semidefinite.
     """
-    if system.n > size_limit:
-        raise ValueError(f"dense spectrum limited to {size_limit} unknowns, got {system.n}")
+    if system.n > 900:
+        raise ValueError(f"dense spectrum limited to 900 unknowns, got {system.n}")
     a1 = system.a1.mat.toarray()
     a2 = system.a2.toarray()
     s = a1 + a2.T @ np.linalg.solve(a1, a2)
@@ -257,12 +254,12 @@ class SweepCell:
 
 
 def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: float = 5.0,
-                domain=(0.0, 1.0, 0.0, 1.0), n_min: int = 9, n_max: int = 27):
+                domain=(0.0, 1.0, 0.0, 1.0)):
     """Accuracy of the acoustic problem as the frequency rises.
 
     For each omega the grid is chosen so omega*h stays approximately
     constant (``cells_per_wavelength`` cells per wavelength, clamped to
-    [n_min, n_max] nodes per side).  Each solve is compared in the V-norm
+    [9, 27] nodes per side).  Each solve is compared in the V-norm
     against the complex Galerkin oracle on the nested refinement with
     2N-1 nodes per side, so the measured error is discretization error,
     not solver noise.  Returns a list of SweepCell((omega, n), (ErrorReport,
@@ -275,7 +272,7 @@ def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: flo
         params = dataclasses.replace(acoustic, omega=float(omega))
         k_mag = params.omega * k_scale
         h_target = (2.0 * np.pi / k_mag) / cells_per_wavelength
-        n = int(np.clip(round(width / h_target) + 1, n_min, n_max))
+        n = int(np.clip(round(width / h_target) + 1, 9, 27))
         spec = ProblemSpec(
             domain=domain, nx=n, ny=n,
             coeff=lambda g, p=params: acoustic_to_helmholtz(p, g),
@@ -291,7 +288,7 @@ def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: flo
                                lambda x, y, r=ref: _field_grad(r, x, y))
             rows.append(SweepCell(params=(float(omega), n),
                                   value=(rep, sol.info.iters_outer)))
-        except (SolveError, AssemblyError, ValueError) as exc:
+        except SolveError as exc:
             rows.append(SweepCell(params=(float(omega), n), value=None, error=str(exc)))
     return rows
 

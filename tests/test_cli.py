@@ -29,6 +29,21 @@ kind = dirichlet
 f = exp(x + y)
 """
 
+ACOUSTIC = """
+[domain]
+nx = 9
+
+[coefficients]
+kind = acoustic
+rho = 2 + 2i
+kappa = 1 - 3i
+omega = 1
+
+[boundary]
+kind = dirichlet
+f = 0
+"""
+
 ROBIN_BAR = """
 [domain]
 nx = 8
@@ -187,24 +202,7 @@ f = 0
         assert rows[-1].split(",")[1] == "0"  # theta = 2.5 flagged inadmissible
 
     def test_omega_sweep_command(self, tmp_path):
-        text = """
-[domain]
-nx = 9
-
-[coefficients]
-kind = acoustic
-rho = 2 + 2i
-kappa = 1 - 3i
-omega = 1
-
-[boundary]
-kind = dirichlet
-f = 0
-
-[study]
-omega_list = 1, 8
-cells_per_wavelength = 4
-"""
+        text = ACOUSTIC + "\n[study]\nomega_list = 1, 8\ncells_per_wavelength = 4\n"
         cfg = self.write(tmp_path, text)
         out = tmp_path / "out"
         assert run_cli(["omega-sweep", "--config", cfg, "--out", out]) == 0
@@ -217,11 +215,34 @@ cells_per_wavelength = 4
         assert run_cli(["solve", "--config", tmp_path / "nope.ini",
                         "--out", tmp_path / "o"]) == 2
 
-    def test_exit_code_admissibility(self, tmp_path):
+    @pytest.mark.parametrize("command", ["solve", "spectrum"])
+    def test_exit_code_admissibility(self, tmp_path, command):
         text = MINIMAL.replace("l = 1 + 1i", "l = 1").replace("m = 2 + 2i", "m = -1")
         cfg = self.write(tmp_path, text)
-        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "o",
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "o",
                         "--theta", "off"]) == 3
+
+    @pytest.mark.parametrize("command, text", [
+        ("solve", MINIMAL.replace("nx = 9", "nx = 1")),
+        ("spectrum", MINIMAL.replace("nx = 9", "nx = 1")),
+        ("spectrum", MINIMAL.replace("nx = 9", "nx = 40")),  # 1 444 unknowns, over 900
+        ("convergence", MINIMAL + "\n[study]\nn_list = 9, 17\nexact = exp(x + y)\n"),
+        ("omega-sweep", ACOUSTIC + "\n[study]\nomega_list = 1, -2\n"),
+    ], ids=["solve-nx1", "spectrum-nx1", "spectrum-nx40", "convergence-two-grids",
+            "omega-sweep-negative"])
+    def test_bad_input_is_config_error(self, tmp_path, capsys, command, text):
+        cfg = self.write(tmp_path, text)
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_pcg_sweep_single_node_grid_fails_its_cell(self, tmp_path):
+        cfg = self.write(tmp_path, MINIMAL + "\n[study]\nn_list = 1, 9\ntol_list = 1e-8\n")
+        out = tmp_path / "out"
+        assert run_cli(["pcg-sweep", "--config", cfg, "--out", out]) == 4
+        assert "[setup]" in (out / "failures.txt").read_text()
+        rows = (out / "pcg_sweep.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 2
+        assert rows[1].startswith("1,") and rows[1].split(",")[2] == ""
 
     def test_exit_code_solver_failure(self, tmp_path):
         text = MINIMAL + "\n[solver]\nmax_iter = 1\n"
@@ -261,6 +282,7 @@ cells_per_wavelength = 4
         assert err.startswith("config error:") and message in err
         assert not (out / "solution.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @pytest.mark.parametrize("command", ["solve", "spectrum"])
     @pytest.mark.parametrize("line, bad", [
         ("f = exp(x + y)", "f = exp(1000*x)"),
@@ -271,6 +293,7 @@ cells_per_wavelength = 4
         assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_rotation_sweep_validates_before_oracle(self, tmp_path, monkeypatch):
         # bad boundary data fails the first solve before the fine-grid
         # oracle ever runs on it
@@ -285,24 +308,7 @@ cells_per_wavelength = 4
         assert calls == []
 
     def test_jobs_flag_keeps_order(self, tmp_path):
-        text = """
-[domain]
-nx = 9
-
-[coefficients]
-kind = acoustic
-rho = 2 + 2i
-kappa = 1 - 3i
-omega = 1
-
-[boundary]
-kind = dirichlet
-f = 0
-
-[study]
-omega_list = 1, 4, 8
-cells_per_wavelength = 4
-"""
+        text = ACOUSTIC + "\n[study]\nomega_list = 1, 4, 8\ncells_per_wavelength = 4\n"
         cfg = self.write(tmp_path, text)
         seq, par = tmp_path / "seq", tmp_path / "par"
         assert run_cli(["omega-sweep", "--config", cfg, "--out", seq]) == 0

@@ -368,6 +368,13 @@ class TestFailurePropagation:
             solve(spec)
         assert exc.value.stage == "assembly"
 
+    def test_single_node_grid_rejected_at_setup(self):
+        spec = ProblemSpec(nx=1, ny=1, bc=DirichletBC(f=1.0),
+                           coeff=lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j))
+        with pytest.raises(SolveError, match="at least 2 nodes") as exc:
+            solve(spec)
+        assert exc.value.stage == "setup"
+
     def test_missing_boundary_condition_rejected_at_setup(self):
         spec = ProblemSpec(nx=9, ny=9, bc=None,
                            coeff=lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j))
