@@ -14,8 +14,8 @@ from .coeff import (
     acoustic_to_helmholtz, admissibility, auto_rotation_angle, rotate,
 )
 from .assemble import (
-    AssemblyError, BlockSystem, DirichletBC, NeumannBC, NonFiniteDataError, RobinBC,
-    assemble_system, element_blocks,
+    AssemblyError, BlockSystem, DirichletBC, NeumannBC, RobinBC, assemble_system,
+    element_blocks,
 )
 from .sparse import (
     A1Solver, ICFactor, IcBreakdownError, Multigrid, PcgBreakdownError, PcgConfig,

@@ -34,11 +34,9 @@ from .sparse import SparseSym
 
 
 class AssemblyError(ValueError):
-    pass
-
-
-class NonFiniteDataError(AssemblyError):
-    """Boundary data with NaN or infinite values."""
+    """Input that cannot be assembled: a field of the wrong size, an
+    inadmissible field, or boundary data that is not a number or a
+    function, or has non-finite values."""
 
 
 # ----------------------------------------------------------------------
@@ -74,16 +72,13 @@ def _as_boundary_fn(data):
     if isinstance(data, numbers.Number):
         c = complex(data)
         return lambda x, y: np.full(np.shape(np.asarray(x)), c, dtype=complex)
-    raise TypeError(f"boundary data must be a number or callable, got {type(data)!r}")
+    raise AssemblyError(f"boundary data must be a number or callable, got {type(data)!r}")
 
 
 @dataclass(frozen=True)
 class DirichletBC:
-    """Trace data u = f on the boundary.
-
-    ``f`` may be a complex constant, a function f(x, y), or a dict mapping
-    boundary node ids to complex values (which must cover every boundary
-    node)."""
+    """Trace data u = f on the boundary; f a complex constant or a
+    function f(x, y)."""
 
     f: object
 
@@ -92,21 +87,7 @@ class DirichletBC:
     def nodal_values(self, grid: Grid) -> np.ndarray:
         out = np.zeros(grid.n_nodes, dtype=complex)
         bn = grid.boundary_nodes
-        if isinstance(self.f, dict):
-            extra = set(self.f) - set(bn.tolist())
-            if extra:
-                raise AssemblyError(f"Dirichlet data given for non-boundary nodes {sorted(extra)[:5]}")
-            missing = set(bn.tolist()) - set(self.f)
-            if missing:
-                raise AssemblyError(
-                    f"Dirichlet data missing for {len(missing)} boundary nodes "
-                    f"(e.g. {sorted(missing)[:5]})"
-                )
-            for k, v in self.f.items():
-                out[k] = complex(v)
-        else:
-            fn = _as_boundary_fn(self.f)
-            out[bn] = fn(grid.nodes[bn, 0], grid.nodes[bn, 1])
+        out[bn] = _as_boundary_fn(self.f)(grid.nodes[bn, 0], grid.nodes[bn, 1])
         return out
 
 
@@ -236,7 +217,7 @@ def _boundary_load(grid: Grid, fn) -> np.ndarray:
     xq, wq, shapes = _edge_quadrature(grid)
     gq = fn(xq[:, :, 0], xq[:, :, 1])  # (m_edges, 2)
     if not np.all(np.isfinite(gq)):
-        raise NonFiniteDataError("boundary data has non-finite values")
+        raise AssemblyError("boundary data has non-finite values")
     out = np.zeros(grid.n_nodes, dtype=complex)
     for a in range(2):
         np.add.at(out, grid.edge_nodes[:, a], (wq * shapes[a][None, :] * gq).sum(axis=1))
@@ -289,7 +270,7 @@ def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> Bloc
         free = grid.interior_nodes
         lifting = bc.nodal_values(grid)
         if not np.all(np.isfinite(lifting)):
-            raise NonFiniteDataError("dirichlet boundary data has non-finite values")
+            raise AssemblyError("dirichlet boundary data has non-finite values")
         lift_re, lift_im = lifting.real, lifting.imag
         b1 = -(a1_full[free, :] @ lift_re) - (a2_full[free, :] @ lift_im)
         b2 = -(a2_full[free, :] @ lift_re) + (a1_full[free, :] @ lift_im)

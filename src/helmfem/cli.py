@@ -3,9 +3,11 @@
 Commands: solve, convergence, spectrum, pcg-sweep, rotation-sweep,
 omega-sweep.  Configs are INI files with sections [domain],
 [coefficients], [boundary], [solver], [study]; unknown keys are rejected
-with their line number.  Exit codes: 0 success, 2 config/parse error
-(including non-finite coefficients or boundary data), 3
-admissibility/rotation failure, 4 solver failure.
+with their line number; the config is the only source of solver
+settings.  Exit codes: 0 success, 2 config/parse error (including
+non-finite coefficients or boundary data) or an unreadable config or
+unwritable output directory, 3 admissibility/rotation failure, 4 solver
+failure.
 
 Every file helmfem writes goes through the artifact writers at the end
 of this module: CSV header plus rows, or ``key = value`` lines, with one
@@ -23,8 +25,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 # assemble_system is unused here; perfbench/tracer.py wraps cli.assemble_system
 # and tests/test_bench_contract.py pins that wrap point.
 from .assemble import DirichletBC, NeumannBC, RobinBC, assemble_system  # noqa: F401
@@ -34,6 +34,7 @@ from .solve import ProblemSpec, SolveError, setup, solve
 from .sparse import PcgConfig
 from .verify import (
     convergence_study, omega_sweep, pcg_iteration_sweep, rotation_sweep, schur_spectrum,
+    v2_slope,
 )
 
 EXIT_OK = 0
@@ -189,12 +190,8 @@ def parse_config(text: str):
         )
         theta_raw = sol.get("theta", "auto").strip()
         rotation = theta_raw if theta_raw in ("auto", "off") else float(theta_raw)
-        mode = sol.get("mode", "implicit").strip()
-        if mode not in ("implicit", "direct"):
-            raise ConfigError(f"solver mode must be implicit or direct, got {mode!r}")
-
-        spec = ProblemSpec(domain=domain, nx=nx, ny=ny, coeff=coeff, bc=bc,
-                           pcg=cfg, rotation=rotation, mode=mode)
+        spec = ProblemSpec(domain=domain, nx=nx, ny=ny, coeff=coeff, bc=bc, pcg=cfg,
+                           rotation=rotation, mode=sol.get("mode", "implicit").strip())
 
         study = StudyConfig(acoustic=acoustic)
         if parser.has_section("study"):
@@ -317,32 +314,20 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="problem config file (INI)")
     ap.add_argument("--out", default="out", help="output directory (created if missing)")
     ap.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
-    ap.add_argument("--mode", choices=("implicit", "direct"), help="override solver mode")
-    ap.add_argument("--tol", type=float, help="override outer relative tolerance")
-    ap.add_argument("--theta", help="override rotation policy: auto | off | angle")
     args = ap.parse_args(argv)
+    jobs = max(1, args.jobs)
 
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        spec, study = parse_config(text)
-        if args.mode:
-            spec = dataclasses.replace(spec, mode=args.mode)
-        if args.tol is not None:
-            spec = dataclasses.replace(
-                spec, pcg=dataclasses.replace(spec.pcg, rel_tol=args.tol,
-                                              inner_rel_tol=min(spec.pcg.inner_rel_tol, args.tol)))
-        if args.theta is not None:
-            rot = args.theta if args.theta in ("auto", "off") else float(args.theta)
-            spec = dataclasses.replace(spec, rotation=rot)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        code = _RUNNERS[args.command](spec, study, out, max(1, args.jobs))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+    t0 = time.perf_counter()
+    try:
+        code = _RUNNERS[args.command](*parse_config(text), out, jobs)
     except SolveError as exc:
         code = _STAGE_EXIT.get(exc.stage, EXIT_SOLVER)
         print(f"{_EXIT_LABEL[code]}: {exc}", file=sys.stderr)
@@ -354,12 +339,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     elapsed = time.perf_counter() - t0
     if args.command != "solve":  # solve writes its own meta block
-        _write_keys({
-            "command": args.command, "config": args.config, "nx": spec.nx, "ny": spec.ny,
-            "mode": spec.mode, "theta_policy": str(spec.rotation),
-            "rel_tol": spec.pcg.rel_tol, "jobs": max(1, args.jobs),
-            "wall_time_s": f"{elapsed:.6f}", "exit_code": code,
-        }.items(), out / "meta.txt")
+        _write_keys([("command", args.command), ("config", args.config), ("jobs", jobs),
+                     ("wall_time_s", f"{elapsed:.6f}"), ("exit_code", code)], out / "meta.txt")
     print(f"done in {elapsed:.2f}s, artifacts in {out}/", file=sys.stderr)
     return code
 
@@ -413,17 +394,13 @@ def write_residual_csv(residuals, path) -> None:
 
 def write_convergence_csv(study, path) -> None:
     """Study rows with the rate fitted over the rows so far, then the slope."""
-    def slope_so_far(k):
-        hs = np.array([r[1] for r in study.rows[: k + 1]])
-        v2 = np.array([r[2].v2 for r in study.rows[: k + 1]])
-        if not np.all(v2 > 0):
-            return "undefined"
-        return float(np.polyfit(np.log(hs), np.log(v2), 1)[0])
+    def shown(slope):
+        return "undefined" if slope is None else slope
 
-    rows = ((n, h, rep.v2, slope_so_far(k) if k else None)
+    rows = ((n, h, rep.v2, shown(v2_slope(study.rows[: k + 1])) if k else None)
             for k, (n, h, rep) in enumerate(study.rows))
-    slope = "undefined" if study.slope is None else _cell(study.slope)
-    _write_csv("n,h,v2_error,slope_so_far", rows, path, footer=[f"# slope = {slope}"])
+    _write_csv("n,h,v2_error,slope_so_far", rows, path,
+               footer=[f"# slope = {_cell(shown(study.slope))}"])
 
 
 def write_spectrum_csv(values, path) -> None:

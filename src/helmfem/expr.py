@@ -70,7 +70,6 @@ def compile_expression(text: str, allow_xy: bool = True):
         value = eval(code, env, {"x": x, "y": y})
         return np.asarray(value, dtype=complex) + np.zeros(np.shape(x), dtype=complex)
 
-    fn.source = text
     return fn
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assemble import (
-    AssemblyError, BoundaryData, DirichletBC, NeumannBC, NonFiniteDataError, RobinBC,
+    AssemblyError, BoundaryData, DirichletBC, NeumannBC, RobinBC, _as_boundary_fn,
     assemble_system,
 )
 from .coeff import (
@@ -50,7 +50,8 @@ class ProblemSpec:
     ``coeff`` is either a materialized CoefficientField (element count
     must match the grid) or a callable Grid -> CoefficientField, which
     lets studies rebuild the field on refined grids.  ``rotation`` is
-    "auto", "off", or an explicit angle in radians.
+    "auto", "off", or an explicit angle in radians; ``mode`` is
+    "implicit" or "direct".
     """
 
     domain: tuple = (0.0, 1.0, 0.0, 1.0)
@@ -61,6 +62,10 @@ class ProblemSpec:
     pcg: PcgConfig = field(default_factory=PcgConfig)
     rotation: object = "auto"
     mode: str = "implicit"
+
+    def __post_init__(self):
+        if self.mode not in ("implicit", "direct"):
+            raise ValueError(f"solver mode must be implicit or direct, got {self.mode!r}")
 
     def with_grid_size(self, n: int) -> "ProblemSpec":
         return dataclasses.replace(self, nx=n, ny=n)
@@ -137,10 +142,8 @@ def _rotated_bc(bc: BoundaryData, theta: float) -> BoundaryData:
         return bc
     phase = np.exp(1j * theta)
     if bc.kind == "neumann":
-        g = bc.g
-        if isinstance(g, numbers.Number):
-            return NeumannBC(g=complex(g) * phase)
-        return NeumannBC(g=lambda x, y: phase * np.asarray(g(x, y), dtype=complex))
+        g = _as_boundary_fn(bc.g)
+        return NeumannBC(g=lambda x, y: phase * g(x, y))
     # Robin: the flux variable rotates, so the coupling constant counter-
     # rotates while the data g is unchanged.
     try:
@@ -169,8 +172,8 @@ def _resolve_rotation(spec: ProblemSpec, fld: CoefficientField) -> float:
 
 def _check_inputs(fld: CoefficientField, bc) -> None:
     """Reject a missing boundary condition and non-finite coefficients
-    before anything is rotated or assembled.  Non-finite boundary data is
-    caught where assembly samples it (NonFiniteDataError)."""
+    before anything is rotated or assembled.  Boundary data is checked
+    where assembly samples it (AssemblyError)."""
     if not isinstance(bc, (DirichletBC, NeumannBC, RobinBC)):
         raise SolveError("setup", f"boundary condition must be Dirichlet, Neumann or Robin, "
                                   f"got {type(bc).__name__}")
@@ -183,7 +186,8 @@ def setup(spec: ProblemSpec):
     """Every stage before the solve: grid, coefficient field, input checks,
     rotation, admissibility, rotated boundary data and assembly.  Returns
     (grid, theta, system); failures are raised as SolveError with the stage
-    label setup / rotation / admissibility / assembly."""
+    label setup / rotation / admissibility.  Every AssemblyError is a
+    fault in the input (field size, boundary data), so it is stage setup."""
     try:
         grid = spec.build_grid()
     except ValueError as exc:
@@ -200,14 +204,10 @@ def setup(spec: ProblemSpec):
             f"coefficients not admissible after rotation policy {spec.rotation!r} "
             f"(theta={theta:.6f}, min Im L={rep.min_im_l:.3e}, min Im M={rep.min_im_m:.3e})",
         )
-    bc = _rotated_bc(spec.bc, theta)
-
     try:
-        system = assemble_system(grid, fld, bc)
-    except NonFiniteDataError as exc:
-        raise SolveError("setup", str(exc)) from exc
+        system = assemble_system(grid, fld, _rotated_bc(spec.bc, theta))
     except AssemblyError as exc:
-        raise SolveError("assembly", str(exc)) from exc
+        raise SolveError("setup", str(exc)) from exc
     return grid, theta, system
 
 
@@ -218,58 +218,48 @@ def solve(spec: ProblemSpec) -> SolutionField:
     system to a relative residual reported in ``info.residual_rel``
     (within 10x the configured outer tolerance).  Failures are raised as
     SolveError with the stage label (setup / admissibility / rotation /
-    assembly / step 3 / step 4 / step 6).
+    step 3 / step 4 / step 6).
     """
     t0 = time.perf_counter()
     grid, theta, system = setup(spec)
 
     cfg = spec.pcg
     solver = A1Solver(system, mode=spec.mode, rel_tol=cfg.inner_rel_tol, max_iter=cfg.max_iter)
-    n = system.n
     bnorm = float(np.sqrt(np.linalg.norm(system.b1) ** 2 + np.linalg.norm(system.b2) ** 2))
 
-    iters_rhs = iters_outer = iters_imag = 0
-    outer_res = np.zeros(0)
-    if bnorm == 0.0:
-        alpha_re = np.zeros(n)
-        alpha_im = np.zeros(n)
-    else:
-        atol = cfg.inner_rel_tol * bnorm
-        try:
-            before = solver.total_iters
-            z = solver.solve(system.b2, atol=atol)
-            iters_rhs = solver.total_iters - before
-        except PcgError as exc:
-            raise SolveError("step 3 (rhs reduction)", str(exc)) from exc
-        w1 = system.b1 + system.a2.T @ z
+    atol = cfg.inner_rel_tol * bnorm
+    try:
+        z = solver.solve(system.b2, atol=atol)
+        iters_rhs = solver.total_iters  # the solver is fresh
+    except PcgError as exc:
+        raise SolveError("step 3 (rhs reduction)", str(exc)) from exc
+    w1 = system.b1 + system.a2.T @ z
 
-        schur = SchurOperator(solver)
-        try:
-            res = pcg(schur.apply, solver.solve, w1, cfg, atol=cfg.rel_tol * bnorm)
-        except PcgError as exc:
-            raise SolveError("step 4 (Schur solve)", str(exc)) from exc
-        alpha_re = res.x
-        iters_outer = res.iters
-        outer_res = res.residuals
+    schur = SchurOperator(solver)
+    try:
+        res = pcg(schur.apply, solver.solve, w1, cfg, atol=cfg.rel_tol * bnorm)
+    except PcgError as exc:
+        raise SolveError("step 4 (Schur solve)", str(exc)) from exc
+    alpha_re = res.x
 
-        w2 = -system.b2 + system.a2 @ alpha_re
-        try:
-            before = solver.total_iters
-            alpha_im = solver.solve(w2, atol=atol)
-            iters_imag = solver.total_iters - before
-        except PcgError as exc:
-            raise SolveError("step 6 (imaginary part)", str(exc)) from exc
+    w2 = -system.b2 + system.a2 @ alpha_re
+    try:
+        before = solver.total_iters
+        alpha_im = solver.solve(w2, atol=atol)
+        iters_imag = solver.total_iters - before
+    except PcgError as exc:
+        raise SolveError("step 6 (imaginary part)", str(exc)) from exc
 
     residual = system.block_residual(alpha_re, alpha_im)
     u = system.lifting.copy()
     u[system.free_nodes] += alpha_re + 1j * alpha_im
 
     info = SolveInfo(
-        bc_kind=system.bc_kind, mode=spec.mode, n_free=n,
-        iters_rhs=iters_rhs, iters_outer=iters_outer, iters_imag=iters_imag,
+        bc_kind=system.bc_kind, mode=spec.mode, n_free=system.n,
+        iters_rhs=iters_rhs, iters_outer=res.iters, iters_imag=iters_imag,
         inner_iterations=solver.total_iters, residual_rel=float(residual),
         rel_tol=cfg.rel_tol, wall_time=time.perf_counter() - t0,
-        outer_residuals=outer_res,
+        outer_residuals=res.residuals,
     )
     return SolutionField(grid=grid, u=u, free_nodes=system.free_nodes,
                          theta_applied=theta, info=info)

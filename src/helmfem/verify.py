@@ -25,7 +25,7 @@ from .assemble import (
     BlockSystem, DirichletBC, _as_boundary_fn, _boundary_load, _boundary_mass,
     _volume_matrix, element_templates,
 )
-from .coeff import AcousticParams, CoefficientField, acoustic_to_helmholtz, admissibility, rotate
+from .coeff import AcousticParams, CoefficientField, acoustic_to_helmholtz
 from .grid import Grid, build_grid, gauss_points
 from .solve import ProblemSpec, SolutionField, SolveError, solve
 
@@ -138,6 +138,14 @@ def oracle_solution_field(grid: Grid, u: np.ndarray) -> SolutionField:
                          free_nodes=np.arange(grid.n_nodes))
 
 
+def _fine_oracle(spec: ProblemSpec) -> SolutionField:
+    """Galerkin oracle of ``spec`` on the nested refinement with 2N-1 nodes
+    per side, the reference of the sweeps: the same-grid oracle would only
+    measure solver noise."""
+    fine = build_grid(spec.domain, 2 * spec.nx - 1, 2 * spec.ny - 1)
+    return oracle_solution_field(fine, galerkin_oracle(fine, spec.build_field(fine), spec.bc))
+
+
 # ----------------------------------------------------------------------
 # Convergence study
 # ----------------------------------------------------------------------
@@ -165,15 +173,18 @@ def convergence_study(spec: ProblemSpec, n_list, exact, exact_grad=None) -> Conv
     rows = []
     for n in n_list:
         sol = solve(spec.with_grid_size(n))
-        rep = v_norm_error(sol, exact, exact_grad)
-        rows.append((n, sol.grid.hx, rep))
-    v2 = np.array([rep.v2 for _, _, rep in rows])
+        rows.append((n, sol.grid.hx, v_norm_error(sol, exact, exact_grad)))
+    return ConvergenceStudy(rows=rows, slope=v2_slope(rows))
+
+
+def v2_slope(rows):
+    """Least-squares slope of log(V^2 error) against log h over rows of
+    (n, h, ErrorReport); None unless every error is positive."""
     hs = np.array([h for _, h, _ in rows])
-    if np.any(v2 <= 0.0):
-        slope = None
-    else:
-        slope = float(np.polyfit(np.log(hs), np.log(v2), 1)[0])
-    return ConvergenceStudy(rows=rows, slope=slope)
+    v2 = np.array([rep.v2 for _, _, rep in rows])
+    if not np.all(v2 > 0.0):
+        return None
+    return float(np.polyfit(np.log(hs), np.log(v2), 1)[0])
 
 
 # ----------------------------------------------------------------------
@@ -281,28 +292,14 @@ def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: flo
         )
         try:
             sol = solve(spec)
-            fine = build_grid(domain, 2 * n - 1, 2 * n - 1)
-            ref = oracle_solution_field(
-                fine, galerkin_oracle(fine, spec.coeff(fine), spec.bc))
-            rep = v_norm_error(sol, lambda x, y, r=ref: _field_eval(r, x, y),
-                               lambda x, y, r=ref: _field_grad(r, x, y))
+            ref = _fine_oracle(spec)
+            rep = v_norm_error(sol, lambda x, y: ref.evaluate(np.column_stack([x, y])),
+                               lambda x, y: tuple(ref.gradient(np.column_stack([x, y])).T))
             rows.append(SweepCell(params=(float(omega), n),
                                   value=(rep, sol.info.iters_outer)))
         except SolveError as exc:
             rows.append(SweepCell(params=(float(omega), n), value=None, error=str(exc)))
     return rows
-
-
-def _field_eval(ref: SolutionField, x, y):
-    pts = np.column_stack([np.ravel(x), np.ravel(y)])
-    return ref.evaluate(pts).reshape(np.shape(x))
-
-
-def _field_grad(ref: SolutionField, x, y):
-    pts = np.column_stack([np.ravel(x), np.ravel(y)])
-    g = ref.gradient(pts)
-    shape = np.shape(x)
-    return g[:, 0].reshape(shape), g[:, 1].reshape(shape)
 
 
 def pcg_iteration_sweep(coeff, n_list, tol_list, domain=(0.0, 1.0, 0.0, 1.0),
@@ -357,31 +354,32 @@ def rotation_sweep(spec: ProblemSpec, theta_list):
     Every admissible theta yields the same discrete solution up to solver
     tolerance, so the error stays flat until the admissibility boundary
     is approached.  The reference is the complex Galerkin oracle on the
-    nested refinement with 2N-1 nodes per side (the same-grid oracle
-    would only measure solver noise), restricted to the coarse nodes.
-    Inadmissible angles are flagged and skipped.  Returns (rows,
+    nested refinement with 2N-1 nodes per side, restricted to the coarse
+    nodes.  An angle that ``solve`` rejects at stage admissibility is
+    flagged and skipped; any other SolveError propagates.  Returns (rows,
     base_error) with errors in the relative nodal 2-norm.
     """
     # the theta = 0 solve validates the inputs before the oracle sees them
     base = solve(dataclasses.replace(spec, rotation=0.0))
     grid = base.grid
-    fld = spec.build_field(grid)
-    fine = build_grid(spec.domain, 2 * spec.nx - 1, 2 * spec.ny - 1)
-    fine_u = galerkin_oracle(fine, spec.build_field(fine), spec.bc)
+    fine = _fine_oracle(spec)
     # coarse node (i, j) is fine node (2i, 2j)
     gi = np.arange(grid.n_nodes) % grid.nx
     gj = np.arange(grid.n_nodes) // grid.nx
-    reference = fine_u[2 * gj * fine.nx + 2 * gi]
+    reference = fine.u[2 * gj * fine.grid.nx + 2 * gi]
     rnorm = np.linalg.norm(reference)
     base_err = float(np.linalg.norm(base.u - reference) / rnorm)
     base_scale = float(np.abs(base.u).max())
 
     rows = []
     for theta in theta_list:
-        if not admissibility(rotate(fld, theta)).ok:
+        try:
+            sol = solve(dataclasses.replace(spec, rotation=float(theta)))
+        except SolveError as exc:
+            if exc.stage != "admissibility":
+                raise
             rows.append(RotationSweepRow(theta=float(theta), admissible=False))
             continue
-        sol = solve(dataclasses.replace(spec, rotation=float(theta)))
         err = float(np.linalg.norm(sol.u - reference) / rnorm)
         diff = float(np.abs(sol.u - base.u).max() / base_scale)
         rows.append(RotationSweepRow(theta=float(theta), admissible=True,

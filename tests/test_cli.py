@@ -217,10 +217,17 @@ f = 0
 
     @pytest.mark.parametrize("command", ["solve", "spectrum"])
     def test_exit_code_admissibility(self, tmp_path, command):
-        text = MINIMAL.replace("l = 1 + 1i", "l = 1").replace("m = 2 + 2i", "m = -1")
+        text = (MINIMAL.replace("l = 1 + 1i", "l = 1").replace("m = 2 + 2i", "m = -1")
+                + "\n[solver]\ntheta = off\n")
         cfg = self.write(tmp_path, text)
-        assert run_cli([command, "--config", cfg, "--out", tmp_path / "o",
-                        "--theta", "off"]) == 3
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 3
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, out):
+        cfg = self.write(tmp_path, MINIMAL)
+        (tmp_path / "afile").write_text("")
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("command, text", [
         ("solve", MINIMAL.replace("nx = 9", "nx = 1")),
@@ -261,23 +268,25 @@ f = 0
         assert "admissib" in rows[1]
 
     def test_overrides(self, tmp_path):
-        cfg = self.write(tmp_path, MINIMAL)
+        text = MINIMAL + "\n[solver]\nmode = direct\nrel_tol = 1e-8\ntheta = 0.1\n"
+        cfg = self.write(tmp_path, text)
         out = tmp_path / "out"
-        assert run_cli(["solve", "--config", cfg, "--out", out,
-                        "--mode", "direct", "--tol", "1e-8", "--theta", "0.1"]) == 0
+        assert run_cli(["solve", "--config", cfg, "--out", out]) == 0
         meta = (out / "meta.txt").read_text()
         assert "mode = direct" in meta
         assert "theta_applied = 0.1" in meta
+        assert "rel_tol = 1e-08" in meta
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--tol", "0", "rel_tol"),
-        ("--tol", "2", "rel_tol"),
-        ("--theta", "foo", "foo"),
-    ])
-    def test_bad_override_is_config_error(self, tmp_path, capsys, flag, value, message):
-        cfg = self.write(tmp_path, MINIMAL)
+    @pytest.mark.parametrize("line, message", [
+        ("rel_tol = 0", "rel_tol"),
+        ("rel_tol = 2", "rel_tol"),
+        ("theta = foo", "foo"),
+        ("mode = fast", "mode"),
+    ], ids=["rel_tol-0", "rel_tol-2", "theta-foo", "mode-fast"])
+    def test_bad_override_is_config_error(self, tmp_path, capsys, line, message):
+        cfg = self.write(tmp_path, MINIMAL + f"\n[solver]\n{line}\n")
         out = tmp_path / "out"
-        assert run_cli(["solve", "--config", cfg, "--out", out, flag, value]) == 2
+        assert run_cli(["solve", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert not (out / "solution.csv").exists()
@@ -414,15 +423,10 @@ class TestArtifactFormat:
         cfg = tmp_path / "problem.ini"
         cfg.write_text(MINIMAL.replace("nx = 9", "nx = 5"))
         out = tmp_path / "out"
-        assert run_cli(["spectrum", "--config", cfg, "--out", out,
-                        "--theta", "0.1", "--tol", "1e-8"]) == 0
+        assert run_cli(["spectrum", "--config", cfg, "--out", out]) == 0
         lines = (out / "meta.txt").read_text().splitlines()
-        assert lines.pop(8).startswith("wall_time_s = ")
-        assert lines == [
-            "command = spectrum", f"config = {cfg}", "nx = 5", "ny = 5",
-            "mode = implicit", "theta_policy = 0.1", "rel_tol = 1e-08", "jobs = 1",
-            "exit_code = 0",
-        ]
+        assert lines.pop(3).startswith("wall_time_s = ")
+        assert lines == ["command = spectrum", f"config = {cfg}", "jobs = 1", "exit_code = 0"]
 
 
 class TestShippedConfigs:
@@ -443,3 +447,5 @@ class TestShippedConfigs:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "solve" in proc.stdout
+        # the config is the only source of solver settings
+        assert not any(flag in proc.stdout for flag in ("--mode", "--tol", "--theta"))

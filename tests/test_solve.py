@@ -28,12 +28,19 @@ LAYERED = dict(
 
 class TestSolveBasics:
     def test_zero_data_gives_zero_solution(self):
-        spec = ProblemSpec(nx=7, ny=7,
-                           coeff=lambda g: CoefficientField.constant(g, 2 + 1j, 1 + 3j),
-                           bc=DirichletBC(f=0.0))
-        sol = solve(spec)
-        np.testing.assert_array_equal(sol.u, 0.0)
-        assert sol.info.iters_outer == 0
+        # no special case: both A1 solves return zeros for a zero vector
+        for mode in ("implicit", "direct"):
+            spec = ProblemSpec(nx=7, ny=7, mode=mode,
+                               coeff=lambda g: CoefficientField.constant(g, 2 + 1j, 1 + 3j),
+                               bc=DirichletBC(f=0.0))
+            sol = solve(spec)
+            np.testing.assert_array_equal(sol.u, 0.0)
+            assert sol.info.iters_outer == 0
+            assert sol.info.residual_rel == 0.0
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="implicit or direct"):
+            ProblemSpec(mode="fast")
 
     def test_manufactured_h1_error_small(self):
         from helmfem import v_norm_error
@@ -361,12 +368,20 @@ class TestFailurePropagation:
             solve(spec)
         assert exc.value.stage == "setup"
 
-    def test_incomplete_dirichlet_dict_fails_at_assembly(self):
-        spec = ProblemSpec(nx=5, ny=5, bc=DirichletBC(f={0: 1.0}),
-                           coeff=lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j))
-        with pytest.raises(SolveError, match="missing") as exc:
+    @pytest.mark.parametrize("bc, coeff, message", [
+        (DirichletBC(f="1"), lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j),
+         "number or callable"),
+        # auto rotation turns these coefficients by pi/4, so the data is rotated first
+        (NeumannBC(g="1"), lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j),
+         "number or callable"),
+        (DirichletBC(f=1.0), lambda g: CoefficientField.constant(build_grid(UNIT, 4, 4), 1j, 1j),
+         "elements"),
+    ], ids=["string-data", "rotated-string-data", "wrong-size-field"])
+    def test_bad_input_fails_at_setup(self, bc, coeff, message):
+        spec = ProblemSpec(nx=5, ny=5, bc=bc, coeff=coeff)
+        with pytest.raises(SolveError, match=message) as exc:
             solve(spec)
-        assert exc.value.stage == "assembly"
+        assert exc.value.stage == "setup"
 
     def test_single_node_grid_rejected_at_setup(self):
         spec = ProblemSpec(nx=1, ny=1, bc=DirichletBC(f=1.0),
