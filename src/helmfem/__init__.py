@@ -8,7 +8,7 @@ preconditioned conjugate gradients whose inner A1 solves are
 preconditioned by a geometric-multigrid V-cycle.
 """
 
-from .grid import BasisFunction, Grid, build_grid, eval_basis
+from .grid import Grid, build_grid, eval_basis
 from .coeff import (
     AcousticParams, AdmissibilityReport, CoefficientField, HalfPlaneError,
     acoustic_to_helmholtz, admissibility, auto_rotation_angle, rotate,

@@ -156,10 +156,15 @@ class BlockSystem:
         a2 = self.a2.toarray()
         return np.block([[a1, a2.T], [a2, -a1]])
 
-    def block_residual(self, alpha_re: np.ndarray, alpha_im: np.ndarray) -> float:
-        """Relative residual of the full 2N x 2N saddle system."""
+    def residual_blocks(self, alpha_re: np.ndarray, alpha_im: np.ndarray):
+        """Residual (r1, r2) = (b1, b2) - [[A1, A2^T], [A2, -A1]] (a', a'')."""
         r1 = self.b1 - (self.a1.matvec(alpha_re) + self.a2.T @ alpha_im)
         r2 = self.b2 - (self.a2 @ alpha_re - self.a1.matvec(alpha_im))
+        return r1, r2
+
+    def block_residual(self, alpha_re: np.ndarray, alpha_im: np.ndarray) -> float:
+        """Relative residual of the full 2N x 2N saddle system."""
+        r1, r2 = self.residual_blocks(alpha_re, alpha_im)
         bnorm = np.sqrt(np.linalg.norm(self.b1) ** 2 + np.linalg.norm(self.b2) ** 2)
         rnorm = np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(r2) ** 2)
         return rnorm / bnorm if bnorm > 0.0 else rnorm

@@ -2,9 +2,10 @@
 
 Commands: solve, convergence, spectrum, pcg-sweep, rotation-sweep,
 omega-sweep.  Configs are INI files with sections [domain],
-[coefficients], [boundary], [solver], [study]; unknown keys are rejected
-with their line number; the config is the only source of solver
-settings.  Exit codes: 0 success, 2 config/parse error (including
+[coefficients], [boundary], [solver], [study]; unknown keys, and keys
+that the section's coefficient or boundary kind does not read, are
+rejected with their line number; the config is the only source of
+solver settings.  Exit codes: 0 success, 2 config/parse error (including
 non-finite coefficients or boundary data) or an unreadable config or
 unwritable output directory, 3 admissibility/rotation failure, 4 solver
 failure.
@@ -53,19 +54,36 @@ class ConfigError(ValueError):
     pass
 
 
+def _floats(csv_text, kind=float):
+    return [kind(v) for v in csv_text.replace(";", ",").split(",") if v.strip()]
+
+
+# [study] key -> how its value is read
+_STUDY_VALUES = {
+    "n_list": lambda text: _floats(text, int), "tol_list": _floats, "theta_list": _floats,
+    "omega_list": _floats, "cells_per_wavelength": float, "exact": compile_expression,
+}
+
+
+# the keys each coefficient and boundary kind reads besides "kind", and
+# the kind a section without a "kind" key has
+_KIND_KEYS = {
+    "coefficients": {
+        "constant": {"l", "m"},
+        "layered": {"axis", "interface", "l1", "m1", "l2", "m2"},
+        "bar": {"width", "l_bar", "m_bar", "l_bg", "m_bg"},
+        "random": {"lo", "hi", "seed"},
+        "acoustic": {"rho", "kappa", "omega"},
+    },
+    "boundary": {"dirichlet": {"f"}, "neumann": {"g"}, "robin": {"a", "g"}},
+}
+_DEFAULT_KIND = {"coefficients": "constant", "boundary": "dirichlet"}
+
 _KNOWN_KEYS = {
     "domain": {"x0", "x1", "y0", "y1", "nx", "ny"},
-    "coefficients": {
-        "kind", "l", "m", "axis", "interface", "l1", "m1", "l2", "m2",
-        "width", "l_bar", "m_bar", "l_bg", "m_bg", "lo", "hi", "seed",
-        "rho", "kappa", "omega",
-    },
-    "boundary": {"kind", "f", "g", "a"},
-    "solver": {"rel_tol", "inner_rel_tol", "max_iter", "mode", "theta"},
-    "study": {
-        "n_list", "tol_list", "theta_list", "omega_list",
-        "cells_per_wavelength", "exact",
-    },
+    **{s: {"kind"}.union(*kinds.values()) for s, kinds in _KIND_KEYS.items()},
+    "solver": {"rel_tol", "max_iter", "mode", "theta"},
+    "study": set(_STUDY_VALUES),
 }
 
 
@@ -94,8 +112,12 @@ def _key_line(text: str, section: str, key: str) -> int:
     return -1
 
 
+def _kind(sec, section: str) -> str:
+    return sec.get("kind", _DEFAULT_KIND[section]).strip().lower()
+
+
 def _coeff_builder(sec):
-    kind = sec.get("kind", "constant").strip().lower()
+    kind = _kind(sec, "coefficients")
     if kind == "constant":
         L = parse_complex(sec["l"])
         M = parse_complex(sec["m"])
@@ -127,7 +149,7 @@ def _coeff_builder(sec):
 
 
 def _boundary(sec):
-    kind = sec.get("kind", "dirichlet").strip().lower()
+    kind = _kind(sec, "boundary")
     if kind == "dirichlet":
         return DirichletBC(f=compile_expression(sec.get("f", "0")))
     if kind == "neumann":
@@ -137,20 +159,13 @@ def _boundary(sec):
     raise ConfigError(f"unknown boundary kind {kind!r}")
 
 
-def _floats(csv_text):
-    return [float(v) for v in csv_text.replace(";", ",").split(",") if v.strip()]
-
-
-def _ints(csv_text):
-    return [int(v) for v in csv_text.replace(";", ",").split(",") if v.strip()]
-
-
 def parse_config(text: str):
     """Parse a config file into (ProblemSpec, StudyConfig).
 
-    Raises ConfigError with a line number for structural problems and
-    unknown keys; defaults are rel_tol 1e-10, inner 1e-12, mode implicit,
-    rotation auto, unit-square domain with 17 nodes per side.
+    Raises ConfigError with a line number for structural problems,
+    unknown keys and keys that the section's coefficient or boundary kind
+    does not read; defaults are rel_tol 1e-10, mode implicit, rotation
+    auto, unit-square domain with 17 nodes per side.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -162,10 +177,16 @@ def parse_config(text: str):
         s = section.lower()
         if s not in _KNOWN_KEYS:
             raise ConfigError(f"unknown section [{section}]")
+        kind = _kind(parser[section], s) if s in _KIND_KEYS else None
+        reads = _KIND_KEYS.get(s, {}).get(kind)   # None for an unknown kind
         for key in parser[section]:
             if key.lower() not in _KNOWN_KEYS[s]:
                 line = _key_line(text, s, key)
                 raise ConfigError(f"unknown key {key!r} in [{section}] (line {line})")
+            if reads is not None and key.lower() not in reads | {"kind"}:
+                line = _key_line(text, s, key)
+                raise ConfigError(f"key {key!r} in [{section}] is not read by kind = {kind} "
+                                  f"(line {line})")
 
     try:
         dom = parser["domain"] if parser.has_section("domain") else {}
@@ -183,11 +204,8 @@ def parse_config(text: str):
         bc = _boundary(parser["boundary"])
 
         sol = parser["solver"] if parser.has_section("solver") else {}
-        cfg = PcgConfig(
-            rel_tol=float(sol.get("rel_tol", "1e-10")),
-            inner_rel_tol=float(sol.get("inner_rel_tol", "1e-12")),
-            max_iter=int(sol.get("max_iter", "0")),
-        )
+        cfg = PcgConfig(rel_tol=float(sol.get("rel_tol", "1e-10")),
+                        max_iter=int(sol.get("max_iter", "0")))
         theta_raw = sol.get("theta", "auto").strip()
         rotation = theta_raw if theta_raw in ("auto", "off") else float(theta_raw)
         spec = ProblemSpec(domain=domain, nx=nx, ny=ny, coeff=coeff, bc=bc, pcg=cfg,
@@ -195,19 +213,8 @@ def parse_config(text: str):
 
         study = StudyConfig(acoustic=acoustic)
         if parser.has_section("study"):
-            st = parser["study"]
-            if "n_list" in st:
-                study.n_list = _ints(st["n_list"])
-            if "tol_list" in st:
-                study.tol_list = _floats(st["tol_list"])
-            if "theta_list" in st:
-                study.theta_list = _floats(st["theta_list"])
-            if "omega_list" in st:
-                study.omega_list = _floats(st["omega_list"])
-            if "cells_per_wavelength" in st:
-                study.cells_per_wavelength = float(st["cells_per_wavelength"])
-            if "exact" in st:
-                study.exact = compile_expression(st["exact"])
+            for key, value in parser["study"].items():
+                setattr(study, key, _STUDY_VALUES[key](value))
         return spec, study
     except ConfigError:
         raise

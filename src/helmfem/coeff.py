@@ -13,7 +13,6 @@ M with e^{i*theta}; the PDE solution is unchanged by that rotation.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,21 +74,6 @@ class CoefficientField:
             m=np.full(n, complex(M), dtype=complex),
             scalar_l=scalar,
         )
-
-    @staticmethod
-    def from_functions(grid: Grid, L_fn, M_fn) -> "CoefficientField":
-        """Sample L(x, y), M(x, y) at element centroids."""
-        cx, cy = grid.element_centroids().T
-        lvals = [L_fn(x, y) for x, y in zip(cx, cy)]
-        scalar = not isinstance(lvals[0], (tuple, list, np.ndarray))
-        if scalar:
-            lxx = np.array(lvals, dtype=complex)
-            lyy = lxx.copy()
-        else:
-            lxx = np.array([v[0] for v in lvals], dtype=complex)
-            lyy = np.array([v[1] for v in lvals], dtype=complex)
-        mv = np.array([M_fn(x, y) for x, y in zip(cx, cy)], dtype=complex)
-        return CoefficientField(lxx=lxx, lyy=lyy, m=mv, scalar_l=scalar)
 
     @staticmethod
     def two_phase(grid: Grid, indicator, inside, outside) -> "CoefficientField":
@@ -157,36 +141,20 @@ def _split_l(L):
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Outcome of the positive-imaginary-part check.
-
-    ``gamma1`` bounds the magnitude of the imaginary-part entries from
-    above; ``gamma2`` is their minimum (the smallest eigenvalue of the
-    diagonal imaginary-part block over all elements).
-    """
+    """Outcome of the positive-imaginary-part check: the smallest
+    imaginary parts of L (both diagonal entries) and of M."""
 
     ok: bool
     min_im_l: float
     min_im_m: float
-    gamma1: float
-    gamma2: float
-
-    @property
-    def margins(self) -> tuple[float, float]:
-        return (self.min_im_l, self.min_im_m)
 
 
 def admissibility(field: CoefficientField) -> AdmissibilityReport:
     """Check that Im(L) and Im(M) are strictly positive everywhere."""
-    im_l = np.concatenate([field.lxx.imag, field.lyy.imag])
-    im_m = field.m.imag
-    im_all = np.concatenate([im_l, im_m])
-    return AdmissibilityReport(
-        ok=bool(im_l.min() > 0.0 and im_m.min() > 0.0),
-        min_im_l=float(im_l.min()),
-        min_im_m=float(im_m.min()),
-        gamma1=float(np.abs(im_all).max()),
-        gamma2=float(im_all.min()),
-    )
+    im_l = np.concatenate([field.lxx.imag, field.lyy.imag]).min()
+    im_m = field.m.imag.min()
+    return AdmissibilityReport(ok=bool(im_l > 0.0 and im_m > 0.0),
+                               min_im_l=float(im_l), min_im_m=float(im_m))
 
 
 def rotate(field: CoefficientField, theta: float) -> CoefficientField:
@@ -195,8 +163,6 @@ def rotate(field: CoefficientField, theta: float) -> CoefficientField:
     The solution set of the PDE is unchanged; only the admissibility of
     the coefficient field is affected.  Returns a new field.
     """
-    if theta == 0.0:
-        return dataclasses.replace(field)
     phase = np.exp(1j * theta)
     return CoefficientField(
         lxx=field.lxx * phase,

@@ -2,8 +2,9 @@
 
 Supported: + - * / and unary minus, the functions sin/cos/exp, numeric
 literals, the constants pi and i (the imaginary unit, also accepted as a
-numeric suffix: ``3.333i``), and the coordinates x and y.  Anything else
-is rejected, so config typos fail loudly instead of evaluating.
+numeric suffix: ``3.333i``, ``.5i``), and the coordinates x and y.
+Anything else is rejected, so config typos fail loudly instead of
+evaluating.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTS = {"i": 1j, "pi": np.pi}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
-# "2i", "3.333i", "1e-2i" -> python complex literals
-_IMAG_SUFFIX = re.compile(r"(\d+\.?\d*(?:[eE][+-]?\d+)?)[iI]\b")
+# "2i", "3.333i", ".5i", "1e-2i" -> python complex literals
+_IMAG_SUFFIX = re.compile(r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)[iI]\b")
 
 
 def _validate(node, allow_xy: bool):

@@ -13,7 +13,6 @@ fields and error norms all evaluate through.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,14 +64,8 @@ class Grid:
     def n_elements(self) -> int:
         return (self.nx - 1) * (self.ny - 1)
 
-    @property
-    def h(self) -> float:
-        """Common spacing for square grids; raises if hx != hy."""
-        if not math.isclose(self.hx, self.hy, rel_tol=1e-12):
-            raise ValueError("grid spacing is anisotropic; use hx/hy")
-        return self.hx
-
-    def node_id(self, i: int, j: int) -> int:
+    def node_id(self, i, j):
+        """Flat id of node (i, j); integers or integer arrays."""
         return j * self.nx + i
 
     def element_centroids(self) -> np.ndarray:
@@ -80,21 +73,14 @@ class Grid:
         corners = self.nodes[self.elements]
         return corners.mean(axis=1)
 
-    def contains(self, x, y, tol: float = 1e-12) -> np.ndarray:
-        sx = tol * max(self.x1 - self.x0, self.y1 - self.y0)
-        return (
-            (np.asarray(x) >= self.x0 - sx)
-            & (np.asarray(x) <= self.x1 + sx)
-            & (np.asarray(y) >= self.y0 - sx)
-            & (np.asarray(y) <= self.y1 + sx)
-        )
-
     def element_of_point(self, x, y):
         """Element containing each point (x, y); points on shared edges go to
         the lower element index.  Scalars give an int, arrays an array."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        outside = ~self.contains(x, y)
+        slack = 1e-12 * max(self.x1 - self.x0, self.y1 - self.y0)
+        outside = ~((x >= self.x0 - slack) & (x <= self.x1 + slack)
+                    & (y >= self.y0 - slack) & (y <= self.y1 + slack))
         if outside.any():
             k = np.flatnonzero(outside)[0]
             raise ValueError(f"point ({x.flat[k]}, {y.flat[k]}) outside domain")
@@ -231,24 +217,3 @@ def eval_basis(grid: Grid, node: int, point) -> tuple[float, np.ndarray]:
     dxi, deta = shape_gradients(xi, eta)
     grad = np.array([dxi[k] * 2.0 / grid.hx, deta[k] * 2.0 / grid.hy])
     return float(shape_values(xi, eta)[k]), grad
-
-
-class BasisFunction:
-    """Bilinear hat function attached to one grid node.
-
-    Satisfies the Kronecker property (1 at its own node, 0 at every other
-    node) and, summed over all nodes, the partition of unity.
-    """
-
-    def __init__(self, grid: Grid, node: int):
-        if not 0 <= node < grid.n_nodes:
-            raise ValueError(f"node id {node} out of range")
-        self.grid = grid
-        self.node = int(node)
-        self.support = np.flatnonzero((grid.elements == node).any(axis=1))
-
-    def __call__(self, x: float, y: float) -> float:
-        return eval_basis(self.grid, self.node, (x, y))[0]
-
-    def gradient(self, x: float, y: float) -> np.ndarray:
-        return eval_basis(self.grid, self.node, (x, y))[1]

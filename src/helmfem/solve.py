@@ -5,14 +5,14 @@
     3. w1 = b1 + A2^T A1^{-1} b2 5. w2 = -b2 + A2 a'
                                  6. solve A1 a'' = w2
 
-Both N x N systems are symmetric positive definite.  A rotation pre-pass
+Both N x N systems are symmetric positive definite.  While the residual
+of the full 2N x 2N saddle system breaks the contract, steps 3-6 are
+applied to it and the correction is added.  A rotation pre-pass
 multiplies inadmissible coefficients by e^{i*theta} (policy "auto",
 "off", or an explicit angle) and transforms the boundary data
 accordingly: Neumann flux data g becomes e^{i*theta} g, the Robin
 coupling constant a becomes e^{-i*theta} a (its data g is unchanged),
 and Dirichlet data is untouched because the unknown u is not rotated.
-After the two-stage solve the residual of the full 2N x 2N saddle system
-is always computed and reported.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from .coeff import (
 )
 from .grid import Grid, build_grid, gauss_points, shape_gradients, shape_values
 from .sparse import A1Solver, PcgConfig, PcgError, SchurOperator, pcg
+
+CONTRACT_FACTOR = 10.0   # solve returns only a block residual <= CONTRACT_FACTOR * rel_tol
+MAX_REFINEMENTS = 3      # rounds of steps 3-6 on the block residual
 
 
 class SolveError(RuntimeError):
@@ -88,17 +91,21 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveInfo:
+    """Counts of one solve; the step counts and ``outer_residuals`` are
+    those of the first pass of steps 3-6."""
+
     bc_kind: str
     mode: str
     n_free: int
     iters_rhs: int          # step 3 inner solve
     iters_outer: int        # step 4 Schur PCG
     iters_imag: int         # step 6 A1 solve
-    inner_iterations: int   # all nested A1 PCG iterations combined
+    inner_iterations: int   # all nested A1 PCG iterations, refinements included
     residual_rel: float     # relative residual of the full block system
     rel_tol: float
     wall_time: float
     outer_residuals: np.ndarray = field(default=None, repr=False)
+    refinements: int = 0    # rounds of steps 3-6 on the block residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,42 +222,52 @@ def solve(spec: ProblemSpec) -> SolutionField:
     """Solve the problem described by ``spec``.
 
     Returns a SolutionField whose coefficients satisfy the full block
-    system to a relative residual reported in ``info.residual_rel``
-    (within 10x the configured outer tolerance).  Failures are raised as
-    SolveError with the stage label (setup / admissibility / rotation /
-    step 3 / step 4 / step 6).
+    system to a relative residual ``info.residual_rel`` of at most
+    ``CONTRACT_FACTOR`` times the outer tolerance ``spec.pcg.rel_tol``;
+    the nested A1 solves run to ``spec.pcg.inner_rel_tol``.  Steps 3-6 are
+    re-applied to the block residual until it meets that contract, at
+    most ``MAX_REFINEMENTS`` times (``info.refinements``).  Failures are
+    raised as SolveError with the stage label (setup / admissibility /
+    rotation / step 3 / step 4 / step 6 / residual).
     """
     t0 = time.perf_counter()
     grid, theta, system = setup(spec)
 
     cfg = spec.pcg
     solver = A1Solver(system, mode=spec.mode, rel_tol=cfg.inner_rel_tol, max_iter=cfg.max_iter)
-    bnorm = float(np.sqrt(np.linalg.norm(system.b1) ** 2 + np.linalg.norm(system.b2) ** 2))
-
-    atol = cfg.inner_rel_tol * bnorm
-    try:
-        z = solver.solve(system.b2, atol=atol)
-        iters_rhs = solver.total_iters  # the solver is fresh
-    except PcgError as exc:
-        raise SolveError("step 3 (rhs reduction)", str(exc)) from exc
-    w1 = system.b1 + system.a2.T @ z
-
     schur = SchurOperator(solver)
-    try:
-        res = pcg(schur.apply, solver.solve, w1, cfg, atol=cfg.rel_tol * bnorm)
-    except PcgError as exc:
-        raise SolveError("step 4 (Schur solve)", str(exc)) from exc
-    alpha_re = res.x
+    bnorm = float(np.sqrt(np.linalg.norm(system.b1) ** 2 + np.linalg.norm(system.b2) ** 2))
+    atol = cfg.inner_rel_tol * bnorm
 
-    w2 = -system.b2 + system.a2 @ alpha_re
-    try:
-        before = solver.total_iters
-        alpha_im = solver.solve(w2, atol=atol)
-        iters_imag = solver.total_iters - before
-    except PcgError as exc:
-        raise SolveError("step 6 (imaginary part)", str(exc)) from exc
+    def steps_3_to_6(b1, b2):
+        """(a', a'', outer PcgResult, step 3 and step 6 inner iterations)
+        of the block system with right-hand side (b1, b2)."""
+        step, start = "step 3 (rhs reduction)", solver.total_iters
+        try:
+            z = solver.solve(b2, atol=atol)
+            iters_rhs = solver.total_iters - start
+            step = "step 4 (Schur solve)"
+            res = pcg(schur.apply, solver.solve, b1 + system.a2.T @ z, cfg,
+                      atol=cfg.rel_tol * bnorm)
+            step, start = "step 6 (imaginary part)", solver.total_iters
+            alpha_im = solver.solve(-b2 + system.a2 @ res.x, atol=atol)
+        except PcgError as exc:
+            raise SolveError(step, str(exc)) from exc
+        return res.x, alpha_im, res, iters_rhs, solver.total_iters - start
 
+    alpha_re, alpha_im, res, iters_rhs, iters_imag = steps_3_to_6(system.b1, system.b2)
     residual = system.block_residual(alpha_re, alpha_im)
+    refinements = 0
+    while not residual <= CONTRACT_FACTOR * cfg.rel_tol:
+        if refinements == MAX_REFINEMENTS:
+            raise SolveError("residual", f"block residual {residual:.3e} exceeds "
+                                         f"{CONTRACT_FACTOR:g} * rel_tol after "
+                                         f"{refinements} refinement rounds")
+        d_re, d_im, *_ = steps_3_to_6(*system.residual_blocks(alpha_re, alpha_im))
+        alpha_re, alpha_im = alpha_re + d_re, alpha_im + d_im
+        refinements += 1
+        residual = system.block_residual(alpha_re, alpha_im)
+
     u = system.lifting.copy()
     u[system.free_nodes] += alpha_re + 1j * alpha_im
 
@@ -259,7 +276,7 @@ def solve(spec: ProblemSpec) -> SolutionField:
         iters_rhs=iters_rhs, iters_outer=res.iters, iters_imag=iters_imag,
         inner_iterations=solver.total_iters, residual_rel=float(residual),
         rel_tol=cfg.rel_tol, wall_time=time.perf_counter() - t0,
-        outer_residuals=res.residuals,
+        outer_residuals=res.residuals, refinements=refinements,
     )
     return SolutionField(grid=grid, u=u, free_nodes=system.free_nodes,
                          theta_applied=theta, info=info)

@@ -80,19 +80,23 @@ class SparseSym:
 class PcgConfig:
     """Tolerances for the nested solves.
 
-    ``rel_tol`` applies to the outer Schur solve, ``inner_rel_tol`` to the
-    nested A1 solves (kept two orders tighter so the outer operator is
-    effectively linear).  ``max_iter`` = 0 means 10*N.
+    ``rel_tol`` applies to the outer Schur solve; it is the one accuracy
+    setting.  The nested A1 solves run to ``inner_rel_tol``, which defaults
+    to ``min(1e-12, rel_tol / 100)``: tight enough that the outer operator
+    stays effectively linear.  An explicit ``inner_rel_tol`` must lie in
+    ``(0, rel_tol]``.  ``max_iter`` = 0 means 10*N.
     """
 
     rel_tol: float = 1e-10
     max_iter: int = 0
-    inner_rel_tol: float = 1e-12
+    inner_rel_tol: float = None
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must be in (0, 1)")
-        if not 0.0 < self.inner_rel_tol <= self.rel_tol:
+        if self.inner_rel_tol is None:
+            object.__setattr__(self, "inner_rel_tol", min(1e-12, self.rel_tol / 100))
+        elif not 0.0 < self.inner_rel_tol <= self.rel_tol:
             raise ValueError("inner_rel_tol must be in (0, rel_tol]")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
@@ -426,7 +430,7 @@ class A1Solver:
             raise ValueError(f"unknown mode {mode!r}")
         self.system = system
         self.mode = mode
-        self.cfg = PcgConfig(rel_tol=rel_tol, max_iter=max_iter, inner_rel_tol=rel_tol)
+        self.cfg = PcgConfig(rel_tol=rel_tol, max_iter=max_iter)
         self.total_iters = 0
         self._minv = None
         self._lu = None

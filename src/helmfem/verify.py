@@ -28,6 +28,7 @@ from .assemble import (
 from .coeff import AcousticParams, CoefficientField, acoustic_to_helmholtz
 from .grid import Grid, build_grid, gauss_points
 from .solve import ProblemSpec, SolutionField, SolveError, solve
+from .sparse import PcgConfig
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +326,7 @@ def pcg_iteration_sweep(coeff, n_list, tol_list, domain=(0.0, 1.0, 0.0, 1.0),
             spec = ProblemSpec(
                 domain=domain, nx=n, ny=n, coeff=builder,
                 bc=DirichletBC(f=1.0 + 0.0j),
-                pcg=dataclasses.replace(ProblemSpec().pcg, rel_tol=tol,
-                                        inner_rel_tol=min(1e-12, tol * 1e-2)),
+                pcg=PcgConfig(rel_tol=tol),
                 rotation=rotation, mode=mode,
             )
             try:
@@ -364,9 +364,9 @@ def rotation_sweep(spec: ProblemSpec, theta_list):
     grid = base.grid
     fine = _fine_oracle(spec)
     # coarse node (i, j) is fine node (2i, 2j)
-    gi = np.arange(grid.n_nodes) % grid.nx
-    gj = np.arange(grid.n_nodes) // grid.nx
-    reference = fine.u[2 * gj * fine.grid.nx + 2 * gi]
+    i, j = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny))
+    reference = np.empty(grid.n_nodes, dtype=complex)
+    reference[grid.node_id(i, j)] = fine.u[fine.grid.node_id(2 * i, 2 * j)]
     rnorm = np.linalg.norm(reference)
     base_err = float(np.linalg.norm(base.u - reference) / rnorm)
     base_scale = float(np.abs(base.u).max())

@@ -265,7 +265,7 @@ class TestRobin:
         robin = assemble_system(g, f, RobinBC(a=a, g=0.0))
         neumann = assemble_system(g, f, NeumannBC(g=0.0))
         bmass = np.zeros((g.n_nodes, g.n_nodes))
-        for (na, nb), edge_len in zip(g.edge_nodes, np.full(len(g.edge_nodes), g.h)):
+        for (na, nb), edge_len in zip(g.edge_nodes, np.full(len(g.edge_nodes), g.hx)):
             bmass[na, na] += edge_len / 3
             bmass[nb, nb] += edge_len / 3
             bmass[na, nb] += edge_len / 6

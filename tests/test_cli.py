@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helmfem import cli, verify
+from helmfem.assemble import BlockSystem
 from helmfem.cli import ConfigError, main, parse_config
 from helmfem.grid import build_grid
 from helmfem.solve import SolutionField
@@ -85,6 +86,10 @@ class TestParseConfig:
         fld = spec.build_field(grid)
         assert set(np.unique(fld.lxx)) == {-0.5 + 0.0027j, 1 + 0.1j}
 
+    def test_imaginary_literals(self):
+        spec, _ = parse_config(ROBIN_BAR.replace("g = 3.333i", "g = .5i + 1 + .25i - 2.i"))
+        assert complex(spec.bc.g(0.0, 0.0)) == pytest.approx(1 - 1.25j)
+
     def test_robin_positive_real_part_rejected(self):
         bad = ROBIN_BAR.replace("a = -1 + 0.3333333333333333i", "a = 1")
         with pytest.raises(ConfigError, match="negative real part"):
@@ -94,6 +99,31 @@ class TestParseConfig:
         bad = MINIMAL + "\n[solver]\nrel_tol = 1e-8\nrellto = 1e-8\n"
         with pytest.raises(ConfigError, match=r"rellto.*line \d+"):
             parse_config(bad)
+
+    def test_inner_rel_tol_is_not_a_key(self):
+        # the nested A1 tolerance is derived from rel_tol
+        with pytest.raises(ConfigError, match=r"unknown key 'inner_rel_tol'.*line \d+"):
+            parse_config(MINIMAL + "\n[solver]\ninner_rel_tol = 1e-12\n")
+
+    @pytest.mark.parametrize("text, key", [
+        (MINIMAL.replace("m = 2 + 2i", "m = 2 + 2i\nl1 = 5 + 5i"), "l1"),
+        (MINIMAL.replace("m = 2 + 2i", "m = 2 + 2i\naxis = q"), "axis"),
+        (MINIMAL.replace("kind = constant\n", "").replace("m = 2 + 2i", "m = 2 + 2i\nseed = 3"),
+         "seed"),
+        (ACOUSTIC.replace("omega = 1", "omega = 1\nl = 1 + 1i"), "l"),
+        (MINIMAL.replace("f = exp(x + y)", "f = exp(x + y)\ng = 7"), "g"),
+        (MINIMAL.replace("f = exp(x + y)", "f = exp(x + y)\na = 3"), "a"),
+        (MINIMAL.replace("kind = dirichlet\n", "") + "a = 3\n", "a"),
+        (ROBIN_BAR.replace("g = 3.333i", "g = 3.333i\nf = 1"), "f"),
+    ], ids=["constant-l1", "constant-axis", "default-constant-seed", "acoustic-l",
+            "dirichlet-g", "dirichlet-a", "default-dirichlet-a", "robin-f"])
+    def test_key_not_read_by_kind_rejected(self, tmp_path, text, key):
+        line = 1 + [ln.split("=")[0].strip() for ln in text.splitlines()].index(key)
+        with pytest.raises(ConfigError, match=rf"'{key}'.*not read by kind.*line {line}\)"):
+            parse_config(text)
+        cfg = tmp_path / "problem.ini"
+        cfg.write_text(text)
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -255,6 +285,19 @@ f = 0
         text = MINIMAL + "\n[solver]\nmax_iter = 1\n"
         cfg = self.write(tmp_path, text)
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 4
+
+    def test_exit_code_residual_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(BlockSystem, "block_residual", lambda self, a_re, a_im: 1.0)
+        cfg = self.write(tmp_path, MINIMAL)
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 4
+        assert capsys.readouterr().err.startswith("solver error: [residual]")
+
+    def test_tight_rel_tol_solves(self, tmp_path):
+        # the nested tolerance follows rel_tol down to 1e-15
+        cfg = self.write(tmp_path, MINIMAL + "\n[solver]\nrel_tol = 1e-13\n")
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--config", cfg, "--out", out]) == 0
+        assert "rel_tol = 1e-13" in (out / "meta.txt").read_text()
 
     def test_sweep_failures_write_manifest_and_partial_results(self, tmp_path):
         text = (MINIMAL.replace("l = 1 + 1i", "l = 1").replace("m = 2 + 2i", "m = -1")

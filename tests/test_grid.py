@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmfem import BasisFunction, build_grid, eval_basis
+from helmfem import build_grid, eval_basis
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -11,13 +11,13 @@ class TestBuildGrid:
         g = build_grid(UNIT, 2, 2)
         assert g.n_nodes == 4
         assert g.n_elements == 1
-        assert g.h == 1.0
+        assert g.hx == g.hy == 1.0
 
     def test_table_grid_spacings(self):
         # nodes per side N gives h = 1/(N-1)
-        assert build_grid(UNIT, 30, 30).h == pytest.approx(1.0 / 29, abs=0)
-        assert round(build_grid(UNIT, 30, 30).h, 4) == 0.0345
-        assert round(build_grid(UNIT, 40, 40).h, 4) == 0.0256
+        assert build_grid(UNIT, 30, 30).hx == pytest.approx(1.0 / 29, abs=0)
+        assert round(build_grid(UNIT, 30, 30).hx, 4) == 0.0345
+        assert round(build_grid(UNIT, 40, 40).hx, 4) == 0.0256
 
     def test_counts_and_ordering(self):
         g = build_grid((0, 2, 0, 1), 5, 4)
@@ -103,12 +103,3 @@ class TestBasis:
         # domain corners clamp into the valid range
         assert g.element_of_point(0.0, 0.0) == 0
         assert g.element_of_point(1.0, 1.0) == 3
-
-    def test_basis_function_object(self):
-        g = build_grid(UNIT, 4, 4)
-        phi = BasisFunction(g, 5)  # interior node (1, 1)
-        assert len(phi.support) == 4
-        assert phi(*g.nodes[5]) == pytest.approx(1.0)
-        assert phi(*g.nodes[0]) == pytest.approx(0.0)
-        with pytest.raises(ValueError):
-            BasisFunction(g, 99)

@@ -7,7 +7,7 @@ from helmfem import (
     CoefficientField, DirichletBC, NeumannBC, PcgConfig, ProblemSpec, RobinBC,
     SolveError, build_grid, eval_basis, galerkin_oracle, saddle_functional_Y, solve,
 )
-from helmfem.assemble import element_blocks
+from helmfem.assemble import BlockSystem, element_blocks
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -332,6 +332,32 @@ class TestGeneralizedGeometry:
             lambda x, y: np.exp(x + y) + 0j,
             lambda x, y: (np.exp(x + y), np.exp(x + y)))
         assert rep.v2 < ref.v2 / 3.5  # h^2 rate in the squared norm: ~1/4 per halving
+
+
+class TestSolveContract:
+    """solve returns only a block residual of at most 10 * rel_tol."""
+
+    @pytest.mark.parametrize("mode", ["implicit", "direct"])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+    def test_small_margin_is_refined_into_the_contract(self, eps, mode):
+        # Im L = Im M = eps makes A1 nearly singular: step 6 amplifies the
+        # outer error by about 1/eps, far past the contract
+        spec = ProblemSpec(nx=17, ny=17, mode=mode, rotation="off",
+                           coeff=lambda g: CoefficientField.constant(g, 1 + eps * 1j,
+                                                                     2 + eps * 1j),
+                           bc=DirichletBC(f=1.0))
+        info = solve(spec).info
+        assert info.residual_rel <= 10 * info.rel_tol
+        assert info.refinements >= 1
+
+    def test_admissible_margin_needs_no_refinement(self):
+        assert solve(ProblemSpec(nx=9, ny=9, **LAYERED)).info.refinements == 0
+
+    def test_residual_that_never_drops_fails_at_stage_residual(self, monkeypatch):
+        monkeypatch.setattr(BlockSystem, "block_residual", lambda self, a_re, a_im: 1.0)
+        with pytest.raises(SolveError, match="after 3 refinement rounds") as exc:
+            solve(ProblemSpec(nx=9, ny=9, **LAYERED))
+        assert exc.value.stage == "residual"
 
 
 class TestFailurePropagation:

@@ -104,6 +104,13 @@ class TestPcg:
         with pytest.raises(ValueError):
             PcgConfig(rel_tol=1e-10, inner_rel_tol=0.0)
 
+    def test_inner_tolerance_derived_from_rel_tol(self):
+        # min(1e-12, rel_tol / 100) unless given explicitly
+        assert PcgConfig().inner_rel_tol == 1e-12
+        assert PcgConfig(rel_tol=1e-13).inner_rel_tol == 1e-15
+        assert PcgConfig(rel_tol=1e-4).inner_rel_tol == 1e-12
+        assert PcgConfig(rel_tol=1e-10, inner_rel_tol=1e-11).inner_rel_tol == 1e-11
+
     def test_nan_rhs_breaks_down_at_once(self):
         a = laplacian_2d(6)
         b = np.ones(a.shape[0])
