@@ -10,8 +10,8 @@ preconditioned by a geometric-multigrid V-cycle.
 
 from .grid import Grid, build_grid, eval_basis
 from .coeff import (
-    AcousticParams, AdmissibilityReport, CoefficientField, HalfPlaneError,
-    acoustic_to_helmholtz, admissibility, auto_rotation_angle, rotate,
+    AcousticParams, AdmissibilityReport, CoefficientField, HalfPlaneError, admissibility,
+    auto_rotation_angle, rotate,
 )
 from .assemble import (
     AssemblyError, BlockSystem, DirichletBC, NeumannBC, RobinBC, assemble_system,

@@ -2,13 +2,14 @@
 
 Commands: solve, convergence, spectrum, pcg-sweep, rotation-sweep,
 omega-sweep.  Configs are INI files with sections [domain],
-[coefficients], [boundary], [solver], [study]; unknown keys, and keys
-that the section's coefficient or boundary kind does not read, are
-rejected with their line number; the config is the only source of
-solver settings.  Exit codes: 0 success, 2 config/parse error (including
-non-finite coefficients or boundary data) or an unreadable config or
-unwritable output directory, 3 admissibility/rotation failure, 4 solver
-failure.
+[coefficients], [boundary], [solver], [study]; unknown sections and
+keys, and keys that the section's coefficient or boundary kind does not
+read, are rejected with their line number; the config is the only source
+of solver settings.  Exit codes: 0 success, 2 config/parse error
+(including non-finite coefficients, boundary data or rotation angles and
+a cells_per_wavelength that is not positive and finite), a --jobs below
+1, or an unreadable config or unwritable output directory,
+3 admissibility/rotation failure, 4 solver failure.
 
 Every file helmfem writes goes through the artifact writers at the end
 of this module: CSV header plus rows, or ``key = value`` lines, with one
@@ -29,7 +30,7 @@ from pathlib import Path
 # assemble_system is unused here; perfbench/tracer.py wraps cli.assemble_system
 # and tests/test_bench_contract.py pins that wrap point.
 from .assemble import DirichletBC, NeumannBC, RobinBC, assemble_system  # noqa: F401
-from .coeff import AcousticParams, CoefficientField, acoustic_to_helmholtz
+from .coeff import AcousticParams, CoefficientField
 from .expr import compile_expression, parse_complex
 from .solve import ProblemSpec, SolveError, setup, solve
 from .sparse import PcgConfig
@@ -82,20 +83,9 @@ _DEFAULT_KIND = {"coefficients": "constant", "boundary": "dirichlet"}
 _KNOWN_KEYS = {
     "domain": {"x0", "x1", "y0", "y1", "nx", "ny"},
     **{s: {"kind"}.union(*kinds.values()) for s, kinds in _KIND_KEYS.items()},
-    "solver": {"rel_tol", "max_iter", "mode", "theta"},
+    "solver": {"rel_tol", "mode", "theta"},
     "study": set(_STUDY_VALUES),
 }
-
-
-@dataclasses.dataclass
-class StudyConfig:
-    n_list: list = None
-    tol_list: list = None
-    theta_list: list = None
-    omega_list: list = None
-    cells_per_wavelength: float = 5.0
-    exact: object = None
-    acoustic: AcousticParams = None
 
 
 def _key_line(text: str, section: str, key: str) -> int:
@@ -121,30 +111,26 @@ def _coeff_builder(sec):
     if kind == "constant":
         L = parse_complex(sec["l"])
         M = parse_complex(sec["m"])
-        return lambda g: CoefficientField.constant(g, L, M), None
+        return lambda g: CoefficientField.constant(g, L, M)
     if kind == "layered":
         axis = sec.get("axis", "y").strip()
         interface = float(sec.get("interface", "0.5"))
         low = (parse_complex(sec["l1"]), parse_complex(sec["m1"]))
         high = (parse_complex(sec["l2"]), parse_complex(sec["m2"]))
-        return lambda g: CoefficientField.layered(g, axis, interface, low, high), None
+        return lambda g: CoefficientField.layered(g, axis, interface, low, high)
     if kind == "bar":
         width = float(sec.get("width", "0.25"))
         bar = (parse_complex(sec["l_bar"]), parse_complex(sec["m_bar"]))
         bg = (parse_complex(sec["l_bg"]), parse_complex(sec["m_bg"]))
-        return lambda g: CoefficientField.diagonal_bar(g, width, bar, bg), None
+        return lambda g: CoefficientField.diagonal_bar(g, width, bar, bg)
     if kind == "random":
         lo = float(sec.get("lo", "0"))
         hi = float(sec.get("hi", "10"))
         seed = int(sec.get("seed", "1"))
-        return lambda g: CoefficientField.random(g, lo, hi, seed), None
+        return lambda g: CoefficientField.random(g, lo, hi, seed)
     if kind == "acoustic":
-        params = AcousticParams(
-            rho=parse_complex(sec["rho"]),
-            kappa=parse_complex(sec["kappa"]),
-            omega=float(sec.get("omega", "1.0")),
-        )
-        return lambda g, p=params: acoustic_to_helmholtz(p, g), params
+        return AcousticParams(rho=parse_complex(sec["rho"]), kappa=parse_complex(sec["kappa"]),
+                              omega=float(sec.get("omega", "1.0")))
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 
@@ -160,14 +146,18 @@ def _boundary(sec):
 
 
 def parse_config(text: str):
-    """Parse a config file into (ProblemSpec, StudyConfig).
+    """Parse a config file into (ProblemSpec, study), where study maps each
+    [study] key the file sets to its parsed value.
 
-    Raises ConfigError with a line number for structural problems,
-    unknown keys and keys that the section's coefficient or boundary kind
-    does not read; defaults are rel_tol 1e-10, mode implicit, rotation
+    Raises ConfigError for unknown sections (``[DEFAULT]`` included), for
+    structural problems, unknown keys and keys that the section's
+    coefficient or boundary kind does not read, with a line number where
+    there is one; defaults are rel_tol 1e-10, mode implicit, rotation
     auto, unit-square domain with 17 nodes per side.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no section name in a file can be empty, so [DEFAULT] is a plain
+    # section and is rejected as unknown
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -197,25 +187,21 @@ def parse_config(text: str):
 
         if not parser.has_section("coefficients"):
             raise ConfigError("missing [coefficients] section")
-        coeff, acoustic = _coeff_builder(parser["coefficients"])
+        coeff = _coeff_builder(parser["coefficients"])
 
         if not parser.has_section("boundary"):
             raise ConfigError("missing [boundary] section")
         bc = _boundary(parser["boundary"])
 
         sol = parser["solver"] if parser.has_section("solver") else {}
-        cfg = PcgConfig(rel_tol=float(sol.get("rel_tol", "1e-10")),
-                        max_iter=int(sol.get("max_iter", "0")))
+        cfg = PcgConfig(rel_tol=float(sol.get("rel_tol", "1e-10")))
         theta_raw = sol.get("theta", "auto").strip()
         rotation = theta_raw if theta_raw in ("auto", "off") else float(theta_raw)
         spec = ProblemSpec(domain=domain, nx=nx, ny=ny, coeff=coeff, bc=bc, pcg=cfg,
                            rotation=rotation, mode=sol.get("mode", "implicit").strip())
 
-        study = StudyConfig(acoustic=acoustic)
-        if parser.has_section("study"):
-            for key, value in parser["study"].items():
-                setattr(study, key, _STUDY_VALUES[key](value))
-        return spec, study
+        study = parser["study"] if parser.has_section("study") else {}
+        return spec, {key: _STUDY_VALUES[key](value) for key, value in study.items()}
     except ConfigError:
         raise
     except (KeyError, ValueError, ArithmeticError) as exc:
@@ -236,18 +222,18 @@ def _run_solve(spec, study, out: Path, jobs: int):
 
 
 def _run_convergence(spec, study, out: Path, jobs: int):
-    if not study.n_list:
+    if not study.get("n_list"):
         raise ConfigError("convergence needs n_list in [study]")
-    if study.exact is None:
+    if "exact" not in study:
         raise ConfigError("convergence needs an exact solution in [study]")
-    res = convergence_study(spec, study.n_list, study.exact)
+    res = convergence_study(spec, study["n_list"], study["exact"])
     write_convergence_csv(res, out / "convergence.csv")
     return EXIT_OK
 
 
 def _run_spectrum(spec, study, out: Path, jobs: int):
     # the spectrum of the system as given: no rotation policy applies
-    _, _, system = setup(dataclasses.replace(spec, rotation="off"))
+    _, system = setup(dataclasses.replace(spec, rotation="off"))
     spectra = schur_spectrum(system)
     write_spectrum_csv(spectra.raw, out / "spectrum_raw.csv")
     write_spectrum_csv(spectra.preconditioned, out / "spectrum_preconditioned.csv")
@@ -255,10 +241,10 @@ def _run_spectrum(spec, study, out: Path, jobs: int):
 
 
 def _run_pcg_sweep(spec, study, out: Path, jobs: int):
-    if not (study.n_list and study.tol_list):
+    if not (study.get("n_list") and study.get("tol_list")):
         raise ConfigError("pcg-sweep needs n_list and tol_list in [study]")
     cells, flatness = pcg_iteration_sweep(
-        spec.coeff, study.n_list, study.tol_list, domain=spec.domain,
+        spec.coeff, study["n_list"], study["tol_list"], domain=spec.domain,
         rotation=spec.rotation, mode=spec.mode,
     )
     write_pcg_sweep_csv(cells, out / "pcg_sweep.csv")
@@ -268,27 +254,27 @@ def _run_pcg_sweep(spec, study, out: Path, jobs: int):
 
 
 def _run_rotation_sweep(spec, study, out: Path, jobs: int):
-    if not study.theta_list:
+    if not study.get("theta_list"):
         raise ConfigError("rotation-sweep needs theta_list in [study]")
-    rows, base_err = rotation_sweep(spec, study.theta_list)
+    rows, base_err = rotation_sweep(spec, study["theta_list"])
     write_rotation_sweep_csv(rows, out / "rotation_sweep.csv")
     _write_keys([("base_error", base_err)], out / "rotation_base_error.txt")
     return EXIT_OK
 
 
 def _run_omega_sweep(spec, study, out: Path, jobs: int):
-    if not study.omega_list:
+    if not study.get("omega_list"):
         raise ConfigError("omega-sweep needs omega_list in [study]")
-    if study.acoustic is None:
+    if not isinstance(spec.coeff, AcousticParams):
         raise ConfigError("omega-sweep needs kind = acoustic in [coefficients]")
+    cells_per_wavelength = study.get("cells_per_wavelength", 5.0)
 
     def one(w):
-        return omega_sweep(study.acoustic, [w], study.cells_per_wavelength,
-                           domain=spec.domain)[0]
+        return omega_sweep(spec.coeff, [w], cells_per_wavelength, domain=spec.domain)[0]
 
     # independent cells; results keep input order
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(one, study.omega_list))
+        rows = list(pool.map(one, study["omega_list"]))
     write_omega_sweep_csv(rows, out / "omega_sweep.csv")
     return _sweep_exit(rows, out)
 
@@ -322,7 +308,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="out", help="output directory (created if missing)")
     ap.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
     args = ap.parse_args(argv)
-    jobs = max(1, args.jobs)
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         text = Path(args.config).read_text()
@@ -334,7 +322,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        code = _RUNNERS[args.command](*parse_config(text), out, jobs)
+        code = _RUNNERS[args.command](*parse_config(text), out, args.jobs)
     except SolveError as exc:
         code = _STAGE_EXIT.get(exc.stage, EXIT_SOLVER)
         print(f"{_EXIT_LABEL[code]}: {exc}", file=sys.stderr)
@@ -346,7 +334,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     elapsed = time.perf_counter() - t0
     if args.command != "solve":  # solve writes its own meta block
-        _write_keys([("command", args.command), ("config", args.config), ("jobs", jobs),
+        _write_keys([("command", args.command), ("config", args.config), ("jobs", args.jobs),
                      ("wall_time_s", f"{elapsed:.6f}"), ("exit_code", code)], out / "meta.txt")
     print(f"done in {elapsed:.2f}s, artifacts in {out}/", file=sys.stderr)
     return code

@@ -215,7 +215,8 @@ def auto_rotation_angle(field: CoefficientField) -> float:
 @dataclass(frozen=True)
 class AcousticParams:
     """Acoustic material: complex density rho, complex bulk modulus kappa,
-    real frequency omega > 0."""
+    real frequency omega > 0.  Calling it on a grid builds the constant
+    coefficient field L = -1/rho, M = omega^2/kappa."""
 
     rho: complex
     kappa: complex
@@ -229,9 +230,6 @@ class AcousticParams:
         if not self.omega > 0:
             raise ValueError("omega must be positive")
 
-
-def acoustic_to_helmholtz(params: AcousticParams, grid: Grid) -> CoefficientField:
-    """Constant coefficient field L = -1/rho, M = omega^2/kappa."""
-    L = -1.0 / complex(params.rho)
-    M = params.omega ** 2 / complex(params.kappa)
-    return CoefficientField.constant(grid, L, M)
+    def __call__(self, grid: Grid) -> CoefficientField:
+        return CoefficientField.constant(grid, -1.0 / complex(self.rho),
+                                         self.omega ** 2 / complex(self.kappa))

@@ -53,7 +53,7 @@ class ProblemSpec:
     ``coeff`` is either a materialized CoefficientField (element count
     must match the grid) or a callable Grid -> CoefficientField, which
     lets studies rebuild the field on refined grids.  ``rotation`` is
-    "auto", "off", or an explicit angle in radians; ``mode`` is
+    "auto", "off", or a finite angle in radians; ``mode`` is
     "implicit" or "direct".
     """
 
@@ -173,6 +173,8 @@ def _resolve_rotation(spec: ProblemSpec, fld: CoefficientField) -> float:
         except HalfPlaneError as exc:
             raise SolveError("rotation", str(exc)) from exc
     if isinstance(policy, numbers.Number):
+        if not np.isfinite(policy):
+            raise SolveError("setup", f"rotation angle must be finite, got {policy!r}")
         return float(policy)
     raise SolveError("setup", f"unknown rotation policy {policy!r}")
 
@@ -192,9 +194,10 @@ def _check_inputs(fld: CoefficientField, bc) -> None:
 def setup(spec: ProblemSpec):
     """Every stage before the solve: grid, coefficient field, input checks,
     rotation, admissibility, rotated boundary data and assembly.  Returns
-    (grid, theta, system); failures are raised as SolveError with the stage
-    label setup / rotation / admissibility.  Every AssemblyError is a
-    fault in the input (field size, boundary data), so it is stage setup."""
+    (theta, system), the grid being ``system.grid``; failures are raised
+    as SolveError with the stage label setup / rotation / admissibility.
+    Every AssemblyError is a fault in the input (field size, boundary
+    data), so it is stage setup."""
     try:
         grid = spec.build_grid()
     except ValueError as exc:
@@ -215,7 +218,7 @@ def setup(spec: ProblemSpec):
         system = assemble_system(grid, fld, _rotated_bc(spec.bc, theta))
     except AssemblyError as exc:
         raise SolveError("setup", str(exc)) from exc
-    return grid, theta, system
+    return theta, system
 
 
 def solve(spec: ProblemSpec) -> SolutionField:
@@ -231,10 +234,10 @@ def solve(spec: ProblemSpec) -> SolutionField:
     rotation / step 3 / step 4 / step 6 / residual).
     """
     t0 = time.perf_counter()
-    grid, theta, system = setup(spec)
+    theta, system = setup(spec)
 
     cfg = spec.pcg
-    solver = A1Solver(system, mode=spec.mode, rel_tol=cfg.inner_rel_tol, max_iter=cfg.max_iter)
+    solver = A1Solver(system, mode=spec.mode, rel_tol=cfg.inner_rel_tol)
     schur = SchurOperator(solver)
     bnorm = float(np.sqrt(np.linalg.norm(system.b1) ** 2 + np.linalg.norm(system.b2) ** 2))
     atol = cfg.inner_rel_tol * bnorm
@@ -278,7 +281,7 @@ def solve(spec: ProblemSpec) -> SolutionField:
         rel_tol=cfg.rel_tol, wall_time=time.perf_counter() - t0,
         outer_residuals=res.residuals, refinements=refinements,
     )
-    return SolutionField(grid=grid, u=u, free_nodes=system.free_nodes,
+    return SolutionField(grid=system.grid, u=u, free_nodes=system.free_nodes,
                          theta_applied=theta, info=info)
 
 

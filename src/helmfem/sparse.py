@@ -38,10 +38,8 @@ class PcgBreakdownError(PcgError):
 
 
 class PcgNonConvergenceError(PcgError):
-    def __init__(self, msg, iters, rel_res):
-        super().__init__(msg)
-        self.iters = iters
-        self.rel_res = rel_res
+    """The iteration limit was reached; the message states the limit and
+    the last relative residual."""
 
 
 class IcBreakdownError(RuntimeError):
@@ -84,11 +82,11 @@ class PcgConfig:
     setting.  The nested A1 solves run to ``inner_rel_tol``, which defaults
     to ``min(1e-12, rel_tol / 100)``: tight enough that the outer operator
     stays effectively linear.  An explicit ``inner_rel_tol`` must lie in
-    ``(0, rel_tol]``.  ``max_iter`` = 0 means 10*N.
+    ``(0, rel_tol]``.  Every PCG solve stops after :meth:`iter_limit`
+    iterations.
     """
 
     rel_tol: float = 1e-10
-    max_iter: int = 0
     inner_rel_tol: float = None
 
     def __post_init__(self):
@@ -98,11 +96,10 @@ class PcgConfig:
             object.__setattr__(self, "inner_rel_tol", min(1e-12, self.rel_tol / 100))
         elif not 0.0 < self.inner_rel_tol <= self.rel_tol:
             raise ValueError("inner_rel_tol must be in (0, rel_tol]")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
 
     def iter_limit(self, n: int) -> int:
-        return self.max_iter if self.max_iter > 0 else 10 * n
+        """Iteration limit of a PCG solve with ``n`` unknowns."""
+        return 10 * n
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +120,7 @@ def pcg(apply_a, apply_minv, b, cfg: PcgConfig = PcgConfig(), atol: float = None
     b : ndarray
         Right-hand side.
     cfg : PcgConfig
-        Tolerance and iteration limit.
+        Tolerance; the iteration limit is ``cfg.iter_limit(len(b))``.
     atol : float, optional
         Extra absolute residual threshold; convergence is declared at
         ``||b - A x|| <= min(rel_tol*||b||, atol)`` when given.
@@ -182,8 +179,7 @@ def pcg(apply_a, apply_minv, b, cfg: PcgConfig = PcgConfig(), atol: float = None
         rz = rz_new
     raise PcgNonConvergenceError(
         f"PCG did not reach {threshold:.3e} within {limit} iterations "
-        f"(relative residual {history[-1]:.3e})",
-        iters=limit, rel_res=history[-1],
+        f"(relative residual {history[-1]:.3e})"
     )
 
 
@@ -424,13 +420,12 @@ class A1Solver:
     ``A1 + A1^T``, diagonal pivots) used for exact solves.
     """
 
-    def __init__(self, system, mode: str = "implicit",
-                 rel_tol: float = 1e-12, max_iter: int = 0):
+    def __init__(self, system, mode: str = "implicit", rel_tol: float = 1e-12):
         if mode not in ("implicit", "direct"):
             raise ValueError(f"unknown mode {mode!r}")
         self.system = system
         self.mode = mode
-        self.cfg = PcgConfig(rel_tol=rel_tol, max_iter=max_iter)
+        self.cfg = PcgConfig(rel_tol=rel_tol)
         self.total_iters = 0
         self._minv = None
         self._lu = None

@@ -25,7 +25,7 @@ from .assemble import (
     BlockSystem, DirichletBC, _as_boundary_fn, _boundary_load, _boundary_mass,
     _volume_matrix, element_templates,
 )
-from .coeff import AcousticParams, CoefficientField, acoustic_to_helmholtz
+from .coeff import AcousticParams, CoefficientField
 from .grid import Grid, build_grid, gauss_points
 from .solve import ProblemSpec, SolutionField, SolveError, solve
 from .sparse import PcgConfig
@@ -46,10 +46,6 @@ class ErrorReport:
     v2: float
     h1_re: float
     h1_im: float
-
-    @property
-    def v_norm(self) -> float:
-        return np.sqrt(self.v2)
 
 
 def _fd_gradient(fn, step=1e-6):
@@ -265,18 +261,22 @@ class SweepCell:
         return not self.error
 
 
-def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: float = 5.0,
+def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: float,
                 domain=(0.0, 1.0, 0.0, 1.0)):
     """Accuracy of the acoustic problem as the frequency rises.
 
     For each omega the grid is chosen so omega*h stays approximately
     constant (``cells_per_wavelength`` cells per wavelength, clamped to
-    [9, 27] nodes per side).  Each solve is compared in the V-norm
-    against the complex Galerkin oracle on the nested refinement with
-    2N-1 nodes per side, so the measured error is discretization error,
-    not solver noise.  Returns a list of SweepCell((omega, n), (ErrorReport,
+    [9, 27] nodes per side); a ``cells_per_wavelength`` that is not
+    positive and finite raises ValueError before any solve.  Each solve
+    is compared in the V-norm against the complex Galerkin oracle on the
+    nested refinement with 2N-1 nodes per side, so the measured error is
+    discretization error, not solver noise.  Returns a list of SweepCell((omega, n), (ErrorReport,
     iterations)).
     """
+    if not 0.0 < cells_per_wavelength < np.inf:
+        raise ValueError(f"cells_per_wavelength must be positive and finite, "
+                         f"got {cells_per_wavelength}")
     width = domain[1] - domain[0]
     k_scale = np.sqrt(abs(acoustic.rho) / abs(acoustic.kappa))
     rows = []
@@ -287,7 +287,7 @@ def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: flo
         n = int(np.clip(round(width / h_target) + 1, 9, 27))
         spec = ProblemSpec(
             domain=domain, nx=n, ny=n,
-            coeff=lambda g, p=params: acoustic_to_helmholtz(p, g),
+            coeff=params,
             bc=DirichletBC(f=lambda x, y, w=params.omega: np.exp(1j * w * np.asarray(x))),
             rotation="off",
         )

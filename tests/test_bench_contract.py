@@ -1,17 +1,23 @@
-"""The benchmark's tracer must still find every callable it wraps.
+"""The benchmark must still find every callable and input it uses.
 
 ``perfbench/tracer.py`` replaces named attributes of helmfem's modules
-and classes with span-recording wrappers.  A refactor that renames or
-removes one of them breaks the traced benchmark run; these tests make
-that break show up in the unit suite instead.
+and classes with span-recording wrappers, and ``perfbench/workloads.py``
+builds its inputs through ``PcgConfig``, ``ProblemSpec`` and
+``parse_config``.  A refactor that renames or removes one of them breaks
+the benchmark run; these tests make that break show up in the unit suite
+instead.
 """
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "perfbench"))
 
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_every_wrap_point_resolves():
@@ -30,3 +36,13 @@ def test_install_then_restore_leaves_originals():
         saved = t.restore()
     tracer.Tracer.assert_restored(saved)
     assert len(saved) == len(before)
+
+
+@pytest.mark.parametrize("workload", ["implicit-nested", "direct-lu", "paper-cli"])
+def test_workload_builds_and_warms_up(tmp_path, workload):
+    assert workloads.build(workload, 1, REPO, tmp_path)
+    workloads.warm_up(workload)
+
+
+def test_workload_checks_pass_their_self_test(tmp_path):
+    workloads.self_test(REPO, tmp_path)

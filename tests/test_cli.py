@@ -70,7 +70,7 @@ class TestParseConfig:
         spec, study = parse_config(MINIMAL)
         assert spec.nx == spec.ny == 9
         assert spec.domain == (0.0, 1.0, 0.0, 1.0)
-        assert spec.pcg == PcgConfig(rel_tol=1e-10, inner_rel_tol=1e-12, max_iter=0)
+        assert spec.pcg == PcgConfig(rel_tol=1e-10, inner_rel_tol=1e-12)
         assert spec.mode == "implicit"
         assert spec.rotation == "auto"
         assert spec.bc.kind == "dirichlet"
@@ -105,6 +105,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"unknown key 'inner_rel_tol'.*line \d+"):
             parse_config(MINIMAL + "\n[solver]\ninner_rel_tol = 1e-12\n")
 
+    def test_max_iter_is_not_a_key(self, tmp_path):
+        # PCG stops after PcgConfig.iter_limit iterations; no setting changes it
+        text = MINIMAL + "\n[solver]\nmax_iter = 100\n"
+        with pytest.raises(ConfigError, match=r"unknown key 'max_iter'.*line \d+"):
+            parse_config(text)
+        cfg = tmp_path / "problem.ini"
+        cfg.write_text(text)
+        assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
     @pytest.mark.parametrize("text, key", [
         (MINIMAL.replace("m = 2 + 2i", "m = 2 + 2i\nl1 = 5 + 5i"), "l1"),
         (MINIMAL.replace("m = 2 + 2i", "m = 2 + 2i\naxis = q"), "axis"),
@@ -129,6 +138,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config(MINIMAL + "\n[extras]\nfoo = 1\n")
 
+    def test_default_section_rejected(self):
+        # configparser would copy [DEFAULT] keys into every other section
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            parse_config("[DEFAULT]\nrel_tol = 1e-6\n" + MINIMAL)
+
     def test_structural_error_has_line_number(self):
         with pytest.raises(ConfigError, match="line"):
             parse_config("[domain]\nnx 9\n")
@@ -145,9 +159,9 @@ class TestParseConfig:
     def test_study_lists(self):
         text = MINIMAL + "\n[study]\nn_list = 9, 17, 33\ntol_list = 1e-4, 1e-8\nexact = exp(x+y)\n"
         _, study = parse_config(text)
-        assert study.n_list == [9, 17, 33]
-        assert study.tol_list == [1e-4, 1e-8]
-        assert complex(study.exact(0.0, 0.0)) == pytest.approx(1.0)
+        assert study["n_list"] == [9, 17, 33]
+        assert study["tol_list"] == [1e-4, 1e-8]
+        assert complex(study["exact"](0.0, 0.0)) == pytest.approx(1.0)
 
 
 def run_cli(args):
@@ -265,8 +279,14 @@ f = 0
         ("spectrum", MINIMAL.replace("nx = 9", "nx = 40")),  # 1 444 unknowns, over 900
         ("convergence", MINIMAL + "\n[study]\nn_list = 9, 17\nexact = exp(x + y)\n"),
         ("omega-sweep", ACOUSTIC + "\n[study]\nomega_list = 1, -2\n"),
+        ("solve", MINIMAL + "\n[solver]\ntheta = nan\n"),
+        ("solve", MINIMAL + "\n[solver]\ntheta = inf\n"),
+        ("rotation-sweep", MINIMAL + "\n[study]\ntheta_list = 0, nan\n"),
+        ("omega-sweep", ACOUSTIC + "\n[study]\nomega_list = 1, 8\ncells_per_wavelength = 0\n"),
+        ("omega-sweep", ACOUSTIC + "\n[study]\nomega_list = 1, 8\ncells_per_wavelength = -5\n"),
     ], ids=["solve-nx1", "spectrum-nx1", "spectrum-nx40", "convergence-two-grids",
-            "omega-sweep-negative"])
+            "omega-sweep-negative", "solve-theta-nan", "solve-theta-inf",
+            "rotation-sweep-theta-nan", "omega-sweep-cells-0", "omega-sweep-cells-negative"])
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, text):
         cfg = self.write(tmp_path, text)
         assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
@@ -281,9 +301,9 @@ f = 0
         assert len(rows) == 1 + 2
         assert rows[1].startswith("1,") and rows[1].split(",")[2] == ""
 
-    def test_exit_code_solver_failure(self, tmp_path):
-        text = MINIMAL + "\n[solver]\nmax_iter = 1\n"
-        cfg = self.write(tmp_path, text)
+    def test_exit_code_solver_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(PcgConfig, "iter_limit", lambda self, n: 1)
+        cfg = self.write(tmp_path, MINIMAL)
         assert run_cli(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 4
 
     def test_exit_code_residual_failure(self, tmp_path, monkeypatch, capsys):
@@ -358,6 +378,14 @@ f = 0
         cfg = self.write(tmp_path, text)
         assert run_cli(["rotation-sweep", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert calls == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        cfg = self.write(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--config", cfg, "--out", out, "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_flag_keeps_order(self, tmp_path):
         text = ACOUSTIC + "\n[study]\nomega_list = 1, 4, 8\ncells_per_wavelength = 4\n"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helmfem import (
-    AcousticParams, CoefficientField, HalfPlaneError, acoustic_to_helmholtz,
-    admissibility, auto_rotation_angle, build_grid, rotate,
+    AcousticParams, CoefficientField, HalfPlaneError, admissibility, auto_rotation_angle,
+    build_grid, rotate,
 )
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
@@ -137,17 +137,17 @@ class TestAutoRotation:
 
 class TestAcoustic:
     def test_l_from_density(self):
-        f = acoustic_to_helmholtz(AcousticParams(rho=2 + 2j, kappa=1.0, omega=1.0), grid4())
+        f = AcousticParams(rho=2 + 2j, kappa=1.0, omega=1.0)(grid4())
         assert f.lxx[0] == pytest.approx(-0.25 + 0.25j)
 
     def test_m_from_modulus(self):
-        f = acoustic_to_helmholtz(AcousticParams(rho=1.0 + 1j, kappa=1 - 3j, omega=1.0), grid4())
+        f = AcousticParams(rho=1.0 + 1j, kappa=1 - 3j, omega=1.0)(grid4())
         assert f.m[0] == pytest.approx(0.1 + 0.3j)
 
     def test_reference_pair_admissible_for_all_omega(self):
         for omega in (0.5, 1.0, 10.0, 30.0):
             p = AcousticParams(rho=2 + 2j, kappa=1 - 3j, omega=omega)
-            rep = admissibility(acoustic_to_helmholtz(p, grid4()))
+            rep = admissibility(p(grid4()))
             assert rep.ok
             assert rep.min_im_l == pytest.approx(0.25)
             assert rep.min_im_m == pytest.approx(0.3 * omega ** 2)

@@ -361,9 +361,10 @@ class TestSolveContract:
 
 
 class TestFailurePropagation:
-    def test_stage_label_on_outer_failure(self):
+    def test_stage_label_on_outer_failure(self, monkeypatch):
+        monkeypatch.setattr(PcgConfig, "iter_limit", lambda self, n: 2)
         spec = ProblemSpec(nx=9, ny=9, **LAYERED,
-                           pcg=PcgConfig(rel_tol=1e-10, max_iter=2, inner_rel_tol=1e-12))
+                           pcg=PcgConfig(rel_tol=1e-10, inner_rel_tol=1e-12))
         with pytest.raises(SolveError) as exc:
             solve(spec)
         assert "step" in str(exc.value)
@@ -406,6 +407,13 @@ class TestFailurePropagation:
     def test_bad_input_fails_at_setup(self, bc, coeff, message):
         spec = ProblemSpec(nx=5, ny=5, bc=bc, coeff=coeff)
         with pytest.raises(SolveError, match=message) as exc:
+            solve(spec)
+        assert exc.value.stage == "setup"
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rotation_angle_rejected_at_setup(self, theta):
+        spec = ProblemSpec(nx=5, ny=5, rotation=theta, **MANUFACTURED)
+        with pytest.raises(SolveError, match="finite") as exc:
             solve(spec)
         assert exc.value.stage == "setup"
 

@@ -9,6 +9,7 @@ from helmfem import (
     galerkin_oracle, omega_sweep, pcg_iteration_sweep, rotation_sweep,
     schur_spectrum, solve, v_norm_error,
 )
+from helmfem import verify
 from helmfem.cli import parse_config
 from helmfem.verify import oracle_solution_field
 
@@ -203,7 +204,7 @@ class TestPcgSweep:
         # the paper's outer counts for configs/paper/pcg.ini, flat in n;
         # any change to the inner A1 solve must leave them as they are
         spec, study = parse_config(PCG_INI.read_text())
-        cells, flatness = pcg_iteration_sweep(spec.coeff, study.n_list, study.tol_list,
+        cells, flatness = pcg_iteration_sweep(spec.coeff, study["n_list"], study["tol_list"],
                                               domain=spec.domain, rotation=spec.rotation,
                                               mode=spec.mode)
         expected = {1e-4: 5, 1e-8: 7, 1e-12: 9}
@@ -258,14 +259,20 @@ class TestOmegaSweep:
         low, high = rows[0].value[0].v2, rows[1].value[0].v2
         assert high > low
 
+    @pytest.mark.parametrize("cells", [0.0, -5.0, np.nan, np.inf])
+    def test_cells_per_wavelength_must_be_positive_and_finite(self, monkeypatch, cells):
+        monkeypatch.setattr(verify, "solve", lambda spec: pytest.fail("solve was called"))
+        acoustic = AcousticParams(rho=2 + 2j, kappa=1 - 3j, omega=1.0)
+        with pytest.raises(ValueError, match="cells_per_wavelength"):
+            omega_sweep(acoustic, [1.0, 4.0], cells_per_wavelength=cells)
+
     def test_single_omega_matches_plain_solve(self):
-        from helmfem import acoustic_to_helmholtz
         acoustic = AcousticParams(rho=2 + 2j, kappa=1 - 3j, omega=4.0)
         rows = omega_sweep(acoustic, [4.0], cells_per_wavelength=5.0)
         (omega, n), (rep, iters) = rows[0].params, rows[0].value
         spec = ProblemSpec(
             nx=n, ny=n,
-            coeff=lambda g: acoustic_to_helmholtz(acoustic, g),
+            coeff=acoustic,
             bc=DirichletBC(f=lambda x, y: np.exp(1j * 4.0 * np.asarray(x))),
             rotation="off")
         sol = solve(spec)
