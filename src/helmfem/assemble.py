@@ -14,6 +14,11 @@ of the boundary traces that adds a positive multiple of the boundary
 mass matrix to A1 (hence requires Re(a) < 0) and folds the rest into A2
 and the right-hand side, preserving the block structure.
 
+The block system is the real form of the complex Galerkin system
+K (alpha' + i alpha'') = f on the free nodes, with K = A2 + i A1 and
+f = b2 + i b1; ``assemble_system`` is the one place where L, M and each
+boundary kind enter it.
+
 All integrals use 2x2 Gauss per element and 2-point Gauss per boundary
 edge, which is exact for bilinear basis products against the
 piecewise-constant coefficients.  Element contributions are accumulated
@@ -229,21 +234,26 @@ def _boundary_load(grid: Grid, fn) -> np.ndarray:
     return out
 
 
-def _volume_matrix(grid: Grid, coeff_x, coeff_y, coeff_m, sx, sy, mc) -> sps.csr_matrix:
-    """Assemble sum_e cx_e Sx + cy_e Sy + cm_e Mc over all nodes (real or
-    complex per-element coefficients)."""
-    data = (
-        coeff_x[:, None, None] * sx[None]
-        + coeff_y[:, None, None] * sy[None]
-        + coeff_m[:, None, None] * mc[None]
-    )
+def volume_blocks(grid: Grid, fld: CoefficientField):
+    """Volume blocks (A1, A2) over all nodes, before any boundary term:
+    A1 = sum_e Im(Lx) Sx + Im(Ly) Sy + Im(M) Mc, A2 the same with real
+    parts.  A field of the wrong size raises AssemblyError."""
+    if fld.n_elements != grid.n_elements:
+        raise AssemblyError(f"field has {fld.n_elements} elements, "
+                            f"grid has {grid.n_elements}")
+    sx, sy, mc = element_templates(grid.hx, grid.hy)
     conn = grid.elements
-    rows = np.broadcast_to(conn[:, :, None], data.shape)
-    cols = np.broadcast_to(conn[:, None, :], data.shape)
-    n = grid.n_nodes
-    return sps.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    ).tocsr()
+    rows = np.broadcast_to(conn[:, :, None], (len(conn), 4, 4))
+    cols = np.broadcast_to(conn[:, None, :], (len(conn), 4, 4))
+
+    def block(part):
+        data = (part(fld.lxx)[:, None, None] * sx[None]
+                + part(fld.lyy)[:, None, None] * sy[None]
+                + part(fld.m)[:, None, None] * mc[None])
+        return sps.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
+                              shape=(grid.n_nodes,) * 2).tocsr()
+
+    return block(np.imag), block(np.real)
 
 
 def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> BlockSystem:
@@ -252,10 +262,7 @@ def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> Bloc
     The coefficient field must already be admissible (rotate first if
     needed); otherwise an AssemblyError is raised.
     """
-    if fld.n_elements != grid.n_elements:
-        raise AssemblyError(
-            f"field has {fld.n_elements} elements, grid has {grid.n_elements}"
-        )
+    a1_full, a2_full = volume_blocks(grid, fld)
     rep = admissibility(fld)
     if not rep.ok:
         raise AssemblyError(
@@ -263,10 +270,6 @@ def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> Bloc
             f"(min Im L = {rep.min_im_l:.3e}, min Im M = {rep.min_im_m:.3e}); "
             "rotate the coefficients first"
         )
-
-    sx, sy, mc = element_templates(grid.hx, grid.hy)
-    a1_full = _volume_matrix(grid, fld.lxx.imag, fld.lyy.imag, fld.m.imag, sx, sy, mc)
-    a2_full = _volume_matrix(grid, fld.lxx.real, fld.lyy.real, fld.m.real, sx, sy, mc)
 
     n = grid.n_nodes
     lifting = np.zeros(n, dtype=complex)

@@ -268,13 +268,16 @@ def _run_omega_sweep(spec, study, out: Path, jobs: int):
     if not isinstance(spec.coeff, AcousticParams):
         raise ConfigError("omega-sweep needs kind = acoustic in [coefficients]")
     cells_per_wavelength = study.get("cells_per_wavelength", 5.0)
+    # every omega is checked before the pool starts its first solve
+    materials = [dataclasses.replace(spec.coeff, omega=w) for w in study["omega_list"]]
 
-    def one(w):
-        return omega_sweep(spec.coeff, [w], cells_per_wavelength, domain=spec.domain)[0]
+    def one(material):
+        return omega_sweep(material, [material.omega], cells_per_wavelength,
+                           domain=spec.domain)[0]
 
     # independent cells; results keep input order
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(one, study["omega_list"]))
+        rows = list(pool.map(one, materials))
     write_omega_sweep_csv(rows, out / "omega_sweep.csv")
     return _sweep_exit(rows, out)
 

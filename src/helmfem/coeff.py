@@ -215,7 +215,7 @@ def auto_rotation_angle(field: CoefficientField) -> float:
 @dataclass(frozen=True)
 class AcousticParams:
     """Acoustic material: complex density rho, complex bulk modulus kappa,
-    real frequency omega > 0.  Calling it on a grid builds the constant
+    real finite frequency omega > 0.  Calling it on a grid builds the constant
     coefficient field L = -1/rho, M = omega^2/kappa."""
 
     rho: complex
@@ -227,8 +227,8 @@ class AcousticParams:
             raise ValueError("rho must be nonzero")
         if self.kappa == 0:
             raise ValueError("kappa must be nonzero")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < np.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
     def __call__(self, grid: Grid) -> CoefficientField:
         return CoefficientField.constant(grid, -1.0 / complex(self.rho),

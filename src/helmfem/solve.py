@@ -26,12 +26,12 @@ import numpy as np
 
 from .assemble import (
     AssemblyError, BoundaryData, DirichletBC, NeumannBC, RobinBC, _as_boundary_fn,
-    assemble_system,
+    assemble_system, volume_blocks,
 )
 from .coeff import (
     CoefficientField, HalfPlaneError, admissibility, auto_rotation_angle, rotate,
 )
-from .grid import Grid, build_grid, gauss_points, shape_gradients, shape_values
+from .grid import Grid, build_grid, shape_gradients, shape_values
 from .sparse import A1Solver, PcgConfig, PcgError, SchurOperator, pcg
 
 CONTRACT_FACTOR = 10.0   # solve returns only a block residual <= CONTRACT_FACTOR * rel_tol
@@ -163,8 +163,19 @@ def _rotated_bc(bc: BoundaryData, theta: float) -> BoundaryData:
         ) from exc
 
 
+def check_rotation(policy) -> None:
+    """Reject a rotation policy other than "auto", "off" or a finite angle
+    as a SolveError of stage setup."""
+    if isinstance(policy, numbers.Number):
+        if not np.isfinite(policy):
+            raise SolveError("setup", f"rotation angle must be finite, got {policy!r}")
+    elif policy not in ("auto", "off"):
+        raise SolveError("setup", f"unknown rotation policy {policy!r}")
+
+
 def _resolve_rotation(spec: ProblemSpec, fld: CoefficientField) -> float:
     policy = spec.rotation
+    check_rotation(policy)
     if policy == "off":
         return 0.0
     if policy == "auto":
@@ -172,11 +183,7 @@ def _resolve_rotation(spec: ProblemSpec, fld: CoefficientField) -> float:
             return auto_rotation_angle(fld)
         except HalfPlaneError as exc:
             raise SolveError("rotation", str(exc)) from exc
-    if isinstance(policy, numbers.Number):
-        if not np.isfinite(policy):
-            raise SolveError("setup", f"rotation angle must be finite, got {policy!r}")
-        return float(policy)
-    raise SolveError("setup", f"unknown rotation policy {policy!r}")
+    return float(policy)
 
 
 def _check_inputs(fld: CoefficientField, bc) -> None:
@@ -291,31 +298,17 @@ def solve(spec: ProblemSpec) -> SolutionField:
 
 def saddle_functional_Y(grid: Grid, fld: CoefficientField,
                         u_re: np.ndarray, u_im: np.ndarray) -> float:
-    """Quadrature value of the saddle functional for nodal fields.
+    """Value of the saddle functional for nodal fields, the quadratic form
+    u'.A1 u' + 2 u'.A2 u'' - u''.A1 u'' of the volume blocks over all nodes.
 
-    With F' = (grad u', u') and F'' = (grad u'', u''), integrates
-    F'.Z''F' + 2 F'.Z'F'' - F''.Z''F'' over the domain.  The discrete
+    With F' = (grad u', u') and F'' = (grad u'', u'') this is the integral
+    of F'.Z''F' + 2 F'.Z'F'' - F''.Z''F'' over the domain.  The discrete
     solution is a saddle point: adding an interior perturbation s to u'
     increases Y by the positive quantity int S.Z''S, and adding it to u''
-    decreases Y by the same amount.
+    decreases Y by the same amount.  A field of the wrong size raises
+    AssemblyError.
     """
-    if fld.n_elements != grid.n_elements:
-        raise ValueError("field does not match grid")
-    conn = grid.elements
-    re_c = np.asarray(u_re, dtype=float)[conn]   # (n_elem, 4)
-    im_c = np.asarray(u_im, dtype=float)[conn]
-
-    lx2, ly2, m2 = fld.lxx.imag, fld.lyy.imag, fld.m.imag
-    lx1, ly1, m1 = fld.lxx.real, fld.lyy.real, fld.m.real
-
-    total = 0.0
-    for _, w, n, dx, dy in gauss_points(grid.hx, grid.hy, 2):
-        upx, upy, up = re_c @ dx, re_c @ dy, re_c @ n
-        vpx, vpy, vp = im_c @ dx, im_c @ dy, im_c @ n
-        quad = (
-            lx2 * upx ** 2 + ly2 * upy ** 2 + m2 * up ** 2
-            + 2.0 * (lx1 * upx * vpx + ly1 * upy * vpy + m1 * up * vp)
-            - (lx2 * vpx ** 2 + ly2 * vpy ** 2 + m2 * vp ** 2)
-        )
-        total += w * quad.sum()
-    return float(total)
+    a1, a2 = volume_blocks(grid, fld)
+    u_re = np.asarray(u_re, dtype=float)
+    u_im = np.asarray(u_im, dtype=float)
+    return float(u_re @ (a1 @ u_re) + 2.0 * (u_re @ (a2 @ u_im)) - u_im @ (a1 @ u_im))

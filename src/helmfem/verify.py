@@ -1,15 +1,14 @@
-"""Error norms, independent oracles, convergence studies, and sweeps.
+"""Error norms, the Galerkin oracle, convergence studies, and sweeps.
 
 The error metric throughout is the V-norm,
 
     ||(u', u'')||_V = (||u'||_H1^2 + ||u''||_H1^2)^(1/2),
 
 evaluated per element with a Gauss rule one order higher than assembly's.
-Ground truth for problems without a manufactured solution is the sparse
-complex Galerkin discretization of the standard variational form, solved
-directly; the saddle-point path must reproduce it because its block
-equations are real linear recombinations of the complex Galerkin
-equations.
+Ground truth for problems without a manufactured solution is the Galerkin
+oracle, a direct solve of the complex form (A2 + i A1) alpha = b2 + i b1
+of the assembled block system.  It checks the rotation and the nested
+saddle-point solve; manufactured solutions check the discretization.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assemble import (
-    BlockSystem, DirichletBC, _as_boundary_fn, _boundary_load, _boundary_mass,
-    _volume_matrix, element_templates,
-)
+from .assemble import BlockSystem, DirichletBC, assemble_system
 from .coeff import AcousticParams, CoefficientField
 from .grid import Grid, build_grid, gauss_points
-from .solve import ProblemSpec, SolutionField, SolveError, solve
+from .solve import ProblemSpec, SolutionField, SolveError, check_rotation, solve
 from .sparse import PcgConfig
 
 
@@ -101,38 +97,17 @@ def v_norm_error(sol: SolutionField, exact, exact_grad=None) -> ErrorReport:
 # ----------------------------------------------------------------------
 
 def galerkin_oracle(grid: Grid, fld: CoefficientField, bc) -> np.ndarray:
-    """Independent ground truth: sparse direct solve of the complex
-    Galerkin discretization with identical elements and quadrature.
+    """Sparse direct solve of the complex Galerkin system (A2 + i A1)
+    alpha = b2 + i b1 on the free nodes of ``assemble_system(grid, fld,
+    bc)``, plus its Dirichlet lifting.
 
-    Returns the complex nodal solution over all nodes.
+    The field must be admissible, as for assembly (AssemblyError
+    otherwise).  Returns the complex nodal solution over all nodes.
     """
-    if fld.n_elements != grid.n_elements:
-        raise ValueError("field does not match grid")
-
-    kc = _volume_matrix(grid, fld.lxx, fld.lyy, fld.m, *element_templates(grid.hx, grid.hy))
-
-    if bc.kind == "dirichlet":
-        fvals = bc.nodal_values(grid)
-        free = grid.interior_nodes
-        bnd = grid.boundary_nodes
-        rhs = -kc[np.ix_(free, bnd)] @ fvals[bnd]
-        u = fvals.copy()
-        u[free] = spla.spsolve(kc[np.ix_(free, free)], rhs)
-        return u
-    if bc.kind == "neumann":
-        g = _boundary_load(grid, _as_boundary_fn(bc.g))
-        return spla.spsolve(kc, -1j * g)
-    if bc.kind == "robin":
-        a = bc.a
-        g = _boundary_load(grid, _as_boundary_fn(bc.g))
-        return spla.spsolve(kc - (1j / a) * _boundary_mass(grid), -(1j / a) * g)
-    raise ValueError(f"unknown boundary condition kind {bc.kind!r}")
-
-
-def oracle_solution_field(grid: Grid, u: np.ndarray) -> SolutionField:
-    """Wrap oracle nodal values for interpolation/gradient queries."""
-    return SolutionField(grid=grid, u=np.asarray(u, dtype=complex),
-                         free_nodes=np.arange(grid.n_nodes))
+    s = assemble_system(grid, fld, bc)
+    u = s.lifting.copy()
+    u[s.free_nodes] += spla.spsolve(s.a2 + 1j * s.a1.mat, s.b2 + 1j * s.b1)
+    return u
 
 
 def _fine_oracle(spec: ProblemSpec) -> SolutionField:
@@ -140,7 +115,8 @@ def _fine_oracle(spec: ProblemSpec) -> SolutionField:
     per side, the reference of the sweeps: the same-grid oracle would only
     measure solver noise."""
     fine = build_grid(spec.domain, 2 * spec.nx - 1, 2 * spec.ny - 1)
-    return oracle_solution_field(fine, galerkin_oracle(fine, spec.build_field(fine), spec.bc))
+    return SolutionField(grid=fine, u=galerkin_oracle(fine, spec.build_field(fine), spec.bc),
+                         free_nodes=np.arange(fine.n_nodes))
 
 
 # ----------------------------------------------------------------------
@@ -268,20 +244,21 @@ def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: flo
     For each omega the grid is chosen so omega*h stays approximately
     constant (``cells_per_wavelength`` cells per wavelength, clamped to
     [9, 27] nodes per side); a ``cells_per_wavelength`` that is not
-    positive and finite raises ValueError before any solve.  Each solve
-    is compared in the V-norm against the complex Galerkin oracle on the
-    nested refinement with 2N-1 nodes per side, so the measured error is
-    discretization error, not solver noise.  Returns a list of SweepCell((omega, n), (ErrorReport,
-    iterations)).
+    positive and finite, or an omega that AcousticParams rejects, raises
+    ValueError before any solve.  Each solve is compared in the V-norm
+    against the complex Galerkin oracle on the nested refinement with
+    2N-1 nodes per side, so the measured error is discretization error,
+    not solver noise.  Returns a list of SweepCell((omega, n),
+    (ErrorReport, iterations)).
     """
     if not 0.0 < cells_per_wavelength < np.inf:
         raise ValueError(f"cells_per_wavelength must be positive and finite, "
                          f"got {cells_per_wavelength}")
+    materials = [dataclasses.replace(acoustic, omega=float(omega)) for omega in omega_range]
     width = domain[1] - domain[0]
     k_scale = np.sqrt(abs(acoustic.rho) / abs(acoustic.kappa))
     rows = []
-    for omega in omega_range:
-        params = dataclasses.replace(acoustic, omega=float(omega))
+    for params in materials:
         k_mag = params.omega * k_scale
         h_target = (2.0 * np.pi / k_mag) / cells_per_wavelength
         n = int(np.clip(round(width / h_target) + 1, 9, 27))
@@ -296,10 +273,10 @@ def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: flo
             ref = _fine_oracle(spec)
             rep = v_norm_error(sol, lambda x, y: ref.evaluate(np.column_stack([x, y])),
                                lambda x, y: tuple(ref.gradient(np.column_stack([x, y])).T))
-            rows.append(SweepCell(params=(float(omega), n),
+            rows.append(SweepCell(params=(params.omega, n),
                                   value=(rep, sol.info.iters_outer)))
         except SolveError as exc:
-            rows.append(SweepCell(params=(float(omega), n), value=None, error=str(exc)))
+            rows.append(SweepCell(params=(params.omega, n), value=None, error=str(exc)))
     return rows
 
 
@@ -309,25 +286,27 @@ def pcg_iteration_sweep(coeff, n_list, tol_list, domain=(0.0, 1.0, 0.0, 1.0),
 
     ``coeff`` is a CoefficientField builder (Grid -> field) or an (L, M)
     pair of constants.  The probe problem is a Dirichlet solve with unit
-    boundary data.  Returns (cells, flatness) where cells is a list of
-    SweepCell((n, tol), iterations) and flatness maps each tolerance to
-    max-min of the iteration counts over the grid sizes.
+    boundary data.  The rotation policy and every tolerance are checked
+    before the first solve (SolveError of stage setup, ValueError).
+    Returns (cells, flatness) where cells is a list of SweepCell((n, tol),
+    iterations) and flatness maps each tolerance to max-min of the
+    iteration counts over the grid sizes.
     """
     if isinstance(coeff, tuple):
         L, M = coeff
         builder = lambda g: CoefficientField.constant(g, L, M)
     else:
         builder = coeff
+    check_rotation(rotation)
+    configs = [PcgConfig(rel_tol=tol) for tol in tol_list]
     cells = []
     flatness = {}
-    for tol in tol_list:
+    for tol, cfg in zip(tol_list, configs):
         counts = []
         for n in n_list:
             spec = ProblemSpec(
                 domain=domain, nx=n, ny=n, coeff=builder,
-                bc=DirichletBC(f=1.0 + 0.0j),
-                pcg=PcgConfig(rel_tol=tol),
-                rotation=rotation, mode=mode,
+                bc=DirichletBC(f=1.0 + 0.0j), pcg=cfg, rotation=rotation, mode=mode,
             )
             try:
                 sol = solve(spec)
@@ -355,10 +334,14 @@ def rotation_sweep(spec: ProblemSpec, theta_list):
     tolerance, so the error stays flat until the admissibility boundary
     is approached.  The reference is the complex Galerkin oracle on the
     nested refinement with 2N-1 nodes per side, restricted to the coarse
-    nodes.  An angle that ``solve`` rejects at stage admissibility is
-    flagged and skipped; any other SolveError propagates.  Returns (rows,
-    base_error) with errors in the relative nodal 2-norm.
+    nodes.  A non-finite angle raises SolveError of stage setup before
+    the first solve.  An angle that ``solve`` rejects at stage
+    admissibility is flagged and skipped; any other SolveError
+    propagates.  Returns (rows, base_error) with errors in the relative
+    nodal 2-norm.
     """
+    for theta in theta_list:
+        check_rotation(float(theta))
     # the theta = 0 solve validates the inputs before the oracle sees them
     base = solve(dataclasses.replace(spec, rotation=0.0))
     grid = base.grid

@@ -292,6 +292,27 @@ f = 0
         assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("command, text", [
+        ("pcg-sweep", MINIMAL + "\n[solver]\ntheta = nan\n"
+                      "\n[study]\nn_list = 5, 9\ntol_list = 1e-4, 1e-8\n"),
+        ("pcg-sweep", MINIMAL + "\n[study]\nn_list = 5, 9\ntol_list = 1e-4, 1e-8, 0\n"),
+        ("omega-sweep", ACOUSTIC + "\n[study]\nomega_list = 1, 2, -4\n"),
+        ("omega-sweep", ACOUSTIC + "\n[study]\nomega_list = 1, inf\n"),
+        ("rotation-sweep", MINIMAL + "\n[study]\ntheta_list = 0, nan\n"),
+    ], ids=["pcg-sweep-theta-nan", "pcg-sweep-tol-0", "omega-sweep-negative-last",
+            "omega-sweep-inf-last", "rotation-sweep-theta-nan"])
+    def test_study_checks_cells_before_first_solve(self, tmp_path, capsys, monkeypatch,
+                                                    command, text):
+        calls = []
+        real = verify.solve
+        monkeypatch.setattr(verify, "solve", lambda spec: calls.append(spec) or real(spec))
+        cfg = self.write(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (out / "failures.txt").exists()
+        assert calls == []
+
     def test_pcg_sweep_single_node_grid_fails_its_cell(self, tmp_path):
         cfg = self.write(tmp_path, MINIMAL + "\n[study]\nn_list = 1, 9\ntol_list = 1e-8\n")
         out = tmp_path / "out"

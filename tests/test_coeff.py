@@ -159,6 +159,8 @@ class TestAcoustic:
             AcousticParams(rho=1.0, kappa=0.0, omega=1.0)
         with pytest.raises(ValueError):
             AcousticParams(rho=1.0, kappa=1.0, omega=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            AcousticParams(rho=1.0, kappa=1.0, omega=float("inf"))
 
 
 class TestConstructors:

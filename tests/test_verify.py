@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from helmfem import (
-    AcousticParams, CoefficientField, DirichletBC, NeumannBC, ProblemSpec, RobinBC,
-    assemble_system, build_grid, constitutive_spectrum, convergence_study,
-    galerkin_oracle, omega_sweep, pcg_iteration_sweep, rotation_sweep,
+    AcousticParams, AssemblyError, CoefficientField, DirichletBC, NeumannBC, ProblemSpec,
+    RobinBC, SolutionField, assemble_system, build_grid, constitutive_spectrum,
+    convergence_study, galerkin_oracle, omega_sweep, pcg_iteration_sweep, rotation_sweep,
     schur_spectrum, solve, v_norm_error,
 )
 from helmfem import verify
 from helmfem.cli import parse_config
-from helmfem.verify import oracle_solution_field
 
 PCG_INI = Path(__file__).resolve().parents[1] / "configs" / "paper" / "pcg.ini"
 UNIT = (0.0, 1.0, 0.0, 1.0)
@@ -37,7 +36,8 @@ class TestVNorm:
     def test_zero_field_closed_form(self):
         # V^2 of e^(x+y) on the unit square: int 3 e^(2x+2y) = 3 (e^2-1)^2 / 4
         g = build_grid(UNIT, 17, 17)
-        zero = oracle_solution_field(g, np.zeros(g.n_nodes, dtype=complex))
+        zero = SolutionField(grid=g, u=np.zeros(g.n_nodes, dtype=complex),
+                             free_nodes=np.arange(g.n_nodes))
         rep = v_norm_error(zero, EXACT, EXACT_GRAD)
         closed = 3.0 * (np.e ** 2 - 1.0) ** 2 / 4.0
         assert rep.v2 == pytest.approx(closed, rel=1e-6)
@@ -79,6 +79,14 @@ class TestGalerkinOracle:
         u = galerkin_oracle(g, f, DirichletBC(f=1.0))
         assert u[4] == pytest.approx(19.0 / 28.0, abs=1e-14)
 
+    def test_inadmissible_field_rejected(self):
+        # the oracle solves the assembled system, so it takes only what
+        # assembly takes: Im L = 0 here
+        g = build_grid(UNIT, 5, 5)
+        f = CoefficientField.constant(g, 1.0, 1 + 1j)
+        with pytest.raises(AssemblyError, match="not admissible"):
+            galerkin_oracle(g, f, DirichletBC(f=1.0))
+
     def test_65x65_agrees_with_direct_solve(self):
         spec = ProblemSpec(nx=65, ny=65,
                            coeff=lambda g: CoefficientField.random(g, 0.0, 10.0, 5),
@@ -107,6 +115,23 @@ class TestConvergence:
     def test_manufactured_rate_near_two(self):
         study = convergence_study(ProblemSpec(**MANUFACTURED), [9, 17, 33],
                                   EXACT, EXACT_GRAD)
+        assert 1.8 <= study.slope <= 2.2
+
+    @pytest.mark.parametrize("kind", ["neumann", "robin"])
+    def test_manufactured_natural_bc_rate_near_two(self, kind):
+        # u = e^(x+y) with flux data g = v.n = i L du/dn (du/dn = +u on the
+        # sides x = 1 and y = 1, -u on x = 0 and y = 0); Robin data u + a g
+        L, a = 1 + 1j, -1 + 1j / 3
+
+        def flux(x, y):
+            x, y = np.asarray(x), np.asarray(y)
+            sign = np.where(np.isclose(x, 1.0) | np.isclose(y, 1.0), 1.0, -1.0)
+            return 1j * L * sign * np.exp(x + y)
+
+        bc = (NeumannBC(g=flux) if kind == "neumann"
+              else RobinBC(a=a, g=lambda x, y: EXACT(x, y) + a * flux(x, y)))
+        spec = ProblemSpec(coeff=MANUFACTURED["coeff"], bc=bc)
+        study = convergence_study(spec, [9, 17, 33], EXACT, EXACT_GRAD)
         assert 1.8 <= study.slope <= 2.2
 
     def test_zero_data_slope_undefined(self):
