@@ -11,11 +11,11 @@ preconditioned by a geometric-multigrid V-cycle.
 from .grid import Grid, build_grid, eval_basis
 from .coeff import (
     AcousticParams, AdmissibilityReport, CoefficientField, HalfPlaneError, admissibility,
-    auto_rotation_angle, rotate,
+    auto_rotation_angle,
 )
 from .assemble import (
     AssemblyError, BlockSystem, DirichletBC, NeumannBC, RobinBC, assemble_system,
-    element_blocks,
+    element_blocks, rotate,
 )
 from .sparse import (
     A1Solver, ICFactor, IcBreakdownError, Multigrid, PcgBreakdownError, PcgConfig,

@@ -10,14 +10,16 @@ where, on the volume, A1 collects the imaginary parts of the coefficients
 (grad-grad against Im L plus mass against Im M) and A2 the real parts.
 Dirichlet data enters through a nodal lifting baked into b1/b2; Neumann
 data through boundary load integrals; Robin data through a 2x2 coupling
-of the boundary traces that adds a positive multiple of the boundary
-mass matrix to A1 (hence requires Re(a) < 0) and folds the rest into A2
-and the right-hand side, preserving the block structure.
+of the boundary traces, which adds c = -i/a times the boundary mass
+matrix to K (Im c to A1, Re c to A2) and c g to the right-hand side,
+preserving the block structure.
 
 The block system is the real form of the complex Galerkin system
 K (alpha' + i alpha'') = f on the free nodes, with K = A2 + i A1 and
 f = b2 + i b1; ``assemble_system`` is the one place where L, M and each
-boundary kind enter it.
+boundary kind enter it.  Assembly is linear in L, M and the boundary
+data, so the problem rotated by a phase e^{i*theta} has the system
+e^{i*theta} (K, f): ``rotate`` applies that phase to an assembled system.
 
 All integrals use 2x2 Gauss per element and 2-point Gauss per boundary
 edge, which is exact for bilinear basis products against the
@@ -27,21 +29,22 @@ in a fixed element order for bit-reproducible matrices.
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
 
-from .coeff import CoefficientField, admissibility
+from .coeff import CoefficientField
 from .grid import Grid, gauss_1d, gauss_points
 from .sparse import SparseSym
 
 
 class AssemblyError(ValueError):
-    """Input that cannot be assembled: a field of the wrong size, an
-    inadmissible field, or boundary data that is not a number or a
-    function, or has non-finite values."""
+    """Input that cannot be assembled: a field of the wrong size, a Robin
+    constant that is zero or not finite, or boundary data that is not a
+    number or a function, or has non-finite values."""
 
 
 # ----------------------------------------------------------------------
@@ -108,10 +111,11 @@ class NeumannBC:
 
 @dataclass(frozen=True)
 class RobinBC:
-    """Impedance condition u + a v.n = g with strictly negative Re(a).
+    """Impedance condition u + a v.n = g with a finite, nonzero a.
 
-    The sign constraint makes the boundary contribution to A1 positive
-    semidefinite, so positive definiteness of the block is preserved."""
+    The boundary term enters K as c = -i/a times the boundary mass
+    matrix; ``solve`` requires Im c > 0 after rotation, as it requires
+    Im L > 0 and Im M > 0, so that A1 stays positive definite."""
 
     a: complex
     g: object
@@ -120,10 +124,8 @@ class RobinBC:
 
     def __post_init__(self):
         a = complex(self.a)
-        if not (a.real < 0.0 and np.isfinite(a)):
-            raise AssemblyError(
-                f"Robin coupling constant must be finite with negative real part, got a = {a}"
-            )
+        if not (a != 0.0 and np.isfinite(a)):
+            raise AssemblyError(f"Robin coupling constant must be finite and nonzero, got a = {a}")
         object.__setattr__(self, "a", a)
 
 
@@ -257,19 +259,9 @@ def volume_blocks(grid: Grid, fld: CoefficientField):
 
 
 def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> BlockSystem:
-    """Build the block system for one of the three boundary-condition kinds.
-
-    The coefficient field must already be admissible (rotate first if
-    needed); otherwise an AssemblyError is raised.
-    """
+    """Build the unrotated block system of any finite field for one of the
+    three boundary-condition kinds."""
     a1_full, a2_full = volume_blocks(grid, fld)
-    rep = admissibility(fld)
-    if not rep.ok:
-        raise AssemblyError(
-            "coefficient field is not admissible "
-            f"(min Im L = {rep.min_im_l:.3e}, min Im M = {rep.min_im_m:.3e}); "
-            "rotate the coefficients first"
-        )
 
     n = grid.n_nodes
     lifting = np.zeros(n, dtype=complex)
@@ -313,3 +305,16 @@ def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> Bloc
         b1=np.asarray(b1).ravel(), b2=np.asarray(b2).ravel(),
         free_nodes=free, lifting=lifting, grid=grid, bc_kind=bc.kind,
     )
+
+
+def rotate(system: BlockSystem, theta: float) -> BlockSystem:
+    """The system times e^{i*theta}: A1 -> cos A1 + sin A2 and A2 -> cos A2 -
+    sin A1, the same for (b1, b2).  The phase leaves the solution, the
+    lifting and the free nodes unchanged.  Sparse sums keep the matrices in
+    canonical form, whatever patterns A1 and A2 store."""
+    if theta == 0.0:
+        return system
+    c, s = np.cos(theta), np.sin(theta)
+    a1, a2, b1, b2 = system.a1.mat, system.a2, system.b1, system.b2
+    return dataclasses.replace(system, a1=SparseSym(c * a1 + s * a2), a2=c * a2 - s * a1,
+                               b1=c * b1 + s * b2, b2=c * b2 - s * b1)

@@ -245,7 +245,7 @@ def _run_pcg_sweep(spec, study, out: Path, jobs: int):
         raise ConfigError("pcg-sweep needs n_list and tol_list in [study]")
     cells, flatness = pcg_iteration_sweep(
         spec.coeff, study["n_list"], study["tol_list"], domain=spec.domain,
-        rotation=spec.rotation, mode=spec.mode,
+        rotation=spec.rotation, mode=spec.mode, bc=spec.bc,
     )
     write_pcg_sweep_csv(cells, out / "pcg_sweep.csv")
     _write_keys(((f"tol {tol:.3e}: max-min iterations", spread)

@@ -1,4 +1,4 @@
-"""Complex coefficient fields L, M and the half-plane rotation transform.
+"""Complex coefficient fields L, M, their admissibility and the rotation angle.
 
 L may be a complex scalar or a diagonal 2x2 tensor per element; M is a
 complex scalar per element.  Fields are piecewise constant (sampled at
@@ -6,9 +6,11 @@ element centroids when built from spatial functions), which keeps the 2x2
 Gauss quadrature used by assembly exact.
 
 The solver requires the imaginary parts of every coefficient value to be
-positive.  Coefficients that merely lie in some open half-plane of the
-complex plane can be rotated into admissibility by multiplying both L and
-M with e^{i*theta}; the PDE solution is unchanged by that rotation.
+positive.  Values that merely lie in some open half-plane of the complex
+plane become admissible after a common phase e^{i*theta}, which leaves
+the PDE solution unchanged: ``admissibility`` reads a field at an angle,
+``auto_rotation_angle`` picks one, and ``assemble.rotate`` applies it to
+the assembled system.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .grid import Grid
 
 
 class HalfPlaneError(ValueError):
-    """Coefficient values span more than an open half-plane; no rotation
-    can make the imaginary parts positive."""
+    """No open half-plane holds the values; no rotation can make every
+    imaginary part positive."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +32,7 @@ class CoefficientField:
     """Per-element complex coefficients of ``div(L grad u) = M u``.
 
     ``lxx``/``lyy`` hold the diagonal of L (equal arrays when L is scalar)
-    and ``m`` holds M, one value per element.  Immutable; :func:`rotate`
-    returns a new field.
+    and ``m`` holds M, one value per element.  Immutable.
     """
 
     lxx: np.ndarray = field(repr=False)
@@ -149,44 +150,30 @@ class AdmissibilityReport:
     min_im_m: float
 
 
-def admissibility(field: CoefficientField) -> AdmissibilityReport:
-    """Check that Im(L) and Im(M) are strictly positive everywhere."""
-    im_l = np.concatenate([field.lxx.imag, field.lyy.imag]).min()
-    im_m = field.m.imag.min()
+def admissibility(field: CoefficientField, theta: float = 0.0) -> AdmissibilityReport:
+    """Check that Im(e^{i*theta} L) and Im(e^{i*theta} M) are strictly
+    positive everywhere."""
+    phase = np.exp(1j * theta)
+    im_l = (np.concatenate([field.lxx, field.lyy]) * phase).imag.min()
+    im_m = (field.m * phase).imag.min()
     return AdmissibilityReport(ok=bool(im_l > 0.0 and im_m > 0.0),
                                min_im_l=float(im_l), min_im_m=float(im_m))
 
 
-def rotate(field: CoefficientField, theta: float) -> CoefficientField:
-    """Multiply every coefficient by e^{i*theta}.
+def auto_rotation_angle(values) -> float:
+    """Rotation angle that centers the arguments of the complex ``values``
+    in the upper half-plane (max-margin placement).
 
-    The solution set of the PDE is unchanged; only the admissibility of
-    the coefficient field is affected.  Returns a new field.
+    All values must lie within one open half-plane; the returned theta
+    maximizes the smallest angular distance of any rotated value to the
+    real axis.  Raises :class:`HalfPlaneError` when the values span a
+    half-plane or more, or when any value is zero or not finite.
     """
-    phase = np.exp(1j * theta)
-    return CoefficientField(
-        lxx=field.lxx * phase,
-        lyy=field.lyy * phase,
-        m=field.m * phase,
-        scalar_l=field.scalar_l,
-    )
-
-
-def auto_rotation_angle(field: CoefficientField) -> float:
-    """Rotation angle that centers the coefficient arguments in the upper
-    half-plane (max-margin placement).
-
-    All coefficient values must lie within one open half-plane; the
-    returned theta maximizes the smallest angular distance of any rotated
-    value to the real axis.  Raises :class:`HalfPlaneError` when the
-    values span a half-plane or more, or when any value is zero or not
-    finite.
-    """
-    vals = field.all_values()
+    vals = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(vals)):
-        raise HalfPlaneError("a non-finite coefficient value has no direction to rotate")
+        raise HalfPlaneError("a non-finite value has no direction to rotate")
     if np.any(np.abs(vals) == 0.0):
-        raise HalfPlaneError("zero coefficient value cannot be rotated into the upper half-plane")
+        raise HalfPlaneError("a zero value cannot be rotated into the upper half-plane")
     angles = np.sort(np.angle(vals))
     # Smallest arc containing all directions: complement of the largest
     # gap between consecutive sorted angles (with wrap-around).
@@ -199,13 +186,12 @@ def auto_rotation_angle(field: CoefficientField) -> float:
         lo, arc = angles[k + 1], 2.0 * np.pi - gaps[k]
     if arc >= np.pi:
         raise HalfPlaneError(
-            f"coefficient arguments span an arc of {arc:.6f} rad (>= pi); "
+            f"the arguments span an arc of {arc:.6f} rad (>= pi); "
             "no open half-plane contains all values"
         )
     theta = np.pi / 2.0 - (lo + arc / 2.0)
-    # Report in (-pi, pi].
-    theta = float(np.mod(theta + np.pi, 2.0 * np.pi) - np.pi)
-    return -np.pi if theta == -np.pi else theta
+    # Report in [-pi, pi).
+    return float(np.mod(theta + np.pi, 2.0 * np.pi) - np.pi)
 
 
 # ----------------------------------------------------------------------

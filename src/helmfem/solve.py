@@ -7,12 +7,12 @@
 
 Both N x N systems are symmetric positive definite.  While the residual
 of the full 2N x 2N saddle system breaks the contract, steps 3-6 are
-applied to it and the correction is added.  A rotation pre-pass
-multiplies inadmissible coefficients by e^{i*theta} (policy "auto",
-"off", or an explicit angle) and transforms the boundary data
-accordingly: Neumann flux data g becomes e^{i*theta} g, the Robin
-coupling constant a becomes e^{-i*theta} a (its data g is unchanged),
-and Dirichlet data is untouched because the unknown u is not rotated.
+applied to it and the correction is added.  The method needs Im > 0 for
+every value that enters K = A2 + i A1: L, M and, for Robin data,
+c = -i/a.  ``setup`` picks an angle theta (policy "auto", "off", or an
+explicit angle), checks those values turned by e^{i*theta}, and
+multiplies the assembled system by e^{i*theta}, which leaves the
+solution unchanged.  "auto" turns c along with L and M only if it must.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assemble import (
-    AssemblyError, BoundaryData, DirichletBC, NeumannBC, RobinBC, _as_boundary_fn,
-    assemble_system, volume_blocks,
+    AssemblyError, BoundaryData, DirichletBC, NeumannBC, RobinBC, assemble_system, rotate,
+    volume_blocks,
 )
-from .coeff import (
-    CoefficientField, HalfPlaneError, admissibility, auto_rotation_angle, rotate,
-)
+from .coeff import CoefficientField, HalfPlaneError, admissibility, auto_rotation_angle
 from .grid import Grid, build_grid, shape_gradients, shape_values
 from .sparse import A1Solver, PcgConfig, PcgError, SchurOperator, pcg
 
@@ -144,25 +142,6 @@ class SolutionField:
         return out if np.ndim(points) > 1 else out[0]
 
 
-def _rotated_bc(bc: BoundaryData, theta: float) -> BoundaryData:
-    if theta == 0.0 or bc.kind == "dirichlet":
-        return bc
-    phase = np.exp(1j * theta)
-    if bc.kind == "neumann":
-        g = _as_boundary_fn(bc.g)
-        return NeumannBC(g=lambda x, y: phase * g(x, y))
-    # Robin: the flux variable rotates, so the coupling constant counter-
-    # rotates while the data g is unchanged.
-    try:
-        return RobinBC(a=complex(bc.a) * np.conj(phase), g=bc.g)
-    except AssemblyError as exc:
-        raise SolveError(
-            "rotation",
-            f"rotation by theta={theta:.6f} makes the Robin constant invalid: {exc}; "
-            "use an explicit theta or rotation='off'",
-        ) from exc
-
-
 def check_rotation(policy) -> None:
     """Reject a rotation policy other than "auto", "off" or a finite angle
     as a SolveError of stage setup."""
@@ -173,17 +152,22 @@ def check_rotation(policy) -> None:
         raise SolveError("setup", f"unknown rotation policy {policy!r}")
 
 
-def _resolve_rotation(spec: ProblemSpec, fld: CoefficientField) -> float:
-    policy = spec.rotation
+def _resolve_rotation(policy, values: np.ndarray, robin: np.ndarray) -> float:
+    """The angle of a rotation policy.  "auto" takes the max-margin angle of
+    ``values``, or of ``values`` and ``robin`` if that one leaves a Robin
+    constant inadmissible; SolveError of stage rotation if there is none."""
     check_rotation(policy)
     if policy == "off":
         return 0.0
-    if policy == "auto":
-        try:
-            return auto_rotation_angle(fld)
-        except HalfPlaneError as exc:
-            raise SolveError("rotation", str(exc)) from exc
-    return float(policy)
+    if policy != "auto":
+        return float(policy)
+    try:
+        theta = auto_rotation_angle(values)
+        if np.any((np.exp(1j * theta) * robin).imag <= 0.0):
+            theta = auto_rotation_angle(np.append(values, robin))
+    except HalfPlaneError as exc:
+        raise SolveError("rotation", str(exc)) from exc
+    return theta
 
 
 def _check_inputs(fld: CoefficientField, bc) -> None:
@@ -200,32 +184,34 @@ def _check_inputs(fld: CoefficientField, bc) -> None:
 
 def setup(spec: ProblemSpec):
     """Every stage before the solve: grid, coefficient field, input checks,
-    rotation, admissibility, rotated boundary data and assembly.  Returns
-    (theta, system), the grid being ``system.grid``; failures are raised
-    as SolveError with the stage label setup / rotation / admissibility.
+    rotation angle, admissibility, assembly and rotation.  Returns (theta,
+    system), the grid being ``system.grid``; failures are raised as
+    SolveError with the stage label setup / rotation / admissibility.
     Every AssemblyError is a fault in the input (field size, boundary
     data), so it is stage setup."""
     try:
         grid = spec.build_grid()
     except ValueError as exc:
         raise SolveError("setup", str(exc)) from exc
-    fld0 = spec.build_field(grid)
-    _check_inputs(fld0, spec.bc)
+    fld = spec.build_field(grid)
+    _check_inputs(fld, spec.bc)
 
-    theta = _resolve_rotation(spec, fld0)
-    fld = rotate(fld0, theta) if theta != 0.0 else fld0
-    rep = admissibility(fld)
-    if not rep.ok:
+    robin = np.array([-1j / spec.bc.a] if spec.bc.kind == "robin" else [], dtype=complex)
+    theta = _resolve_rotation(spec.rotation, fld.all_values(), robin)
+    rep = admissibility(fld, theta)
+    im_c = (np.exp(1j * theta) * robin).imag
+    if not (rep.ok and np.all(im_c > 0.0)):
         raise SolveError(
             "admissibility",
             f"coefficients not admissible after rotation policy {spec.rotation!r} "
-            f"(theta={theta:.6f}, min Im L={rep.min_im_l:.3e}, min Im M={rep.min_im_m:.3e})",
+            f"(theta={theta:.6f}, min Im L={rep.min_im_l:.3e}, min Im M={rep.min_im_m:.3e}"
+            + "".join(f", Im c={v:.3e}" for v in im_c) + ")",
         )
     try:
-        system = assemble_system(grid, fld, _rotated_bc(spec.bc, theta))
+        system = assemble_system(grid, fld, spec.bc)
     except AssemblyError as exc:
         raise SolveError("setup", str(exc)) from exc
-    return theta, system
+    return theta, rotate(system, theta)
 
 
 def solve(spec: ProblemSpec) -> SolutionField:

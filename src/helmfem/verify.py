@@ -7,7 +7,7 @@ The error metric throughout is the V-norm,
 evaluated per element with a Gauss rule one order higher than assembly's.
 Ground truth for problems without a manufactured solution is the Galerkin
 oracle, a direct solve of the complex form (A2 + i A1) alpha = b2 + i b1
-of the assembled block system.  It checks the rotation and the nested
+of the unrotated block system.  It checks the rotation and the nested
 saddle-point solve; manufactured solutions check the discretization.
 """
 
@@ -101,8 +101,9 @@ def galerkin_oracle(grid: Grid, fld: CoefficientField, bc) -> np.ndarray:
     alpha = b2 + i b1 on the free nodes of ``assemble_system(grid, fld,
     bc)``, plus its Dirichlet lifting.
 
-    The field must be admissible, as for assembly (AssemblyError
-    otherwise).  Returns the complex nodal solution over all nodes.
+    The system is the unrotated one, so any field and boundary condition
+    with a nonsingular K will do.  Returns the complex nodal solution over
+    all nodes.
     """
     s = assemble_system(grid, fld, bc)
     u = s.lifting.copy()
@@ -281,13 +282,14 @@ def omega_sweep(acoustic: AcousticParams, omega_range, cells_per_wavelength: flo
 
 
 def pcg_iteration_sweep(coeff, n_list, tol_list, domain=(0.0, 1.0, 0.0, 1.0),
-                        rotation="auto", mode: str = "implicit"):
+                        rotation="auto", mode: str = "implicit", bc=DirichletBC(f=1.0 + 0.0j)):
     """Outer PCG iteration counts across grid sizes and tolerances.
 
     ``coeff`` is a CoefficientField builder (Grid -> field) or an (L, M)
-    pair of constants.  The probe problem is a Dirichlet solve with unit
-    boundary data.  The rotation policy and every tolerance are checked
-    before the first solve (SolveError of stage setup, ValueError).
+    pair of constants.  Every solve has the boundary condition ``bc``, by
+    default Dirichlet with unit data.  The rotation policy and every
+    tolerance are checked before the first solve (SolveError of stage
+    setup, ValueError).
     Returns (cells, flatness) where cells is a list of SweepCell((n, tol),
     iterations) and flatness maps each tolerance to max-min of the
     iteration counts over the grid sizes.
@@ -306,7 +308,7 @@ def pcg_iteration_sweep(coeff, n_list, tol_list, domain=(0.0, 1.0, 0.0, 1.0),
         for n in n_list:
             spec = ProblemSpec(
                 domain=domain, nx=n, ny=n, coeff=builder,
-                bc=DirichletBC(f=1.0 + 0.0j), pcg=cfg, rotation=rotation, mode=mode,
+                bc=bc, pcg=cfg, rotation=rotation, mode=mode,
             )
             try:
                 sol = solve(spec)

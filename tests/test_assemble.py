@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sps
 
 from helmfem import (
-    AssemblyError, CoefficientField, DirichletBC, NeumannBC, RobinBC, assemble_system,
-    build_grid, element_blocks,
+    AssemblyError, CoefficientField, DirichletBC, NeumannBC, ProblemSpec, RobinBC,
+    assemble_system, build_grid, element_blocks, rotate, solve,
 )
 from helmfem.assemble import element_templates
 
@@ -132,7 +132,8 @@ class TestAssembleDirichlet:
 
 
 class TestStructure:
-    def rand_field(self, g, seed):
+    @staticmethod
+    def rand_field(g, seed):
         rng = np.random.default_rng(seed)
         n = g.n_elements
         return CoefficientField(
@@ -212,10 +213,19 @@ class TestStructure:
         eigs = np.linalg.eigvalsh(block)
         assert eigs.min() < 0 < eigs.max()
 
-    def test_inadmissible_field_rejected(self):
-        g = build_grid(UNIT, 3, 3)
-        with pytest.raises(AssemblyError, match="not admissible"):
-            assemble_system(g, CoefficientField.constant(g, 1.0, 1j), DirichletBC(f=0.0))
+    def test_lower_half_plane_field_assembles(self):
+        # assembly takes any finite field: the dense solve of the unrotated
+        # system of a lower-half-plane field is the auto-rotated solution
+        spec = ProblemSpec(nx=6, ny=6, rotation="auto",
+                           coeff=lambda g: CoefficientField.constant(g, -3 - 2j, -1 - 4j),
+                           bc=DirichletBC(f=lambda x, y: np.cos(x) + 1j * np.sin(y)))
+        sol = solve(spec)
+        assert abs(sol.theta_applied) > 1.0
+        s = assemble_system(sol.grid, spec.coeff(sol.grid), spec.bc)
+        x = np.linalg.solve(s.block_matrix_dense(), np.concatenate([s.b1, s.b2]))
+        u = s.lifting.copy()
+        u[s.free_nodes] += x[: s.n] + 1j * x[s.n:]
+        assert np.linalg.norm(sol.u - u) / np.linalg.norm(u) < 1e-9
 
     def test_field_grid_mismatch_rejected(self):
         g = build_grid(UNIT, 3, 3)
@@ -243,11 +253,12 @@ class TestNeumann:
 
 
 class TestRobin:
-    def test_requires_negative_real_part(self):
-        with pytest.raises(AssemblyError, match="negative real part"):
-            RobinBC(a=1.0 + 0.5j, g=0.0)
-        with pytest.raises(AssemblyError, match="negative real part"):
-            RobinBC(a=0.333j, g=0.0)
+    def test_requires_nonzero_constant(self):
+        with pytest.raises(AssemblyError, match="nonzero"):
+            RobinBC(a=0.0, g=0.0)
+        # the sign of Re(a) is the admissibility of c = -i/a, which solve checks
+        for a in (1.0 + 0.5j, 0.333j):
+            assert RobinBC(a=a, g=0.0).a == a
 
     @pytest.mark.parametrize("a", [complex(-1.0, np.nan), complex(-np.inf, 1.0)])
     def test_requires_finite_constant(self, a):
@@ -294,3 +305,46 @@ class TestRobin:
             weights[nb] += h / 2
         expected = -np.conj(gv / a) * weights
         np.testing.assert_allclose(sys_.b1 + 1j * sys_.b2, expected, atol=1e-14)
+
+
+GDATA = lambda x, y: np.exp(0.2 * np.asarray(x)) + 1j * np.asarray(y)
+
+
+def rotated_problem(fld, bc, theta):
+    """The problem turned by e^{i*theta}, by the rules of each boundary
+    kind: the field and Neumann data times e^{i*theta}, the Robin
+    constant a times e^{-i*theta}, Dirichlet data unchanged."""
+    phase = np.exp(1j * theta)
+    turned = CoefficientField(lxx=fld.lxx * phase, lyy=fld.lyy * phase, m=fld.m * phase,
+                              scalar_l=fld.scalar_l)
+    if bc.kind == "neumann":
+        return turned, NeumannBC(g=lambda x, y: phase * bc.g(x, y))
+    if bc.kind == "robin":
+        return turned, RobinBC(a=bc.a * np.conj(phase), g=bc.g)
+    return turned, bc
+
+
+class TestRotate:
+    @pytest.mark.parametrize("theta", [0.0, 0.05, -0.7, 2.0, np.pi])
+    @pytest.mark.parametrize("field, bc", [
+        ("random", DirichletBC(f=GDATA)),
+        ("random", NeumannBC(g=GDATA)),
+        ("random", RobinBC(a=-1 + 0.5j, g=GDATA)),
+        # c = -i/a = i, so A2 = 0 stores no entries while A1 stores 169
+        ("imaginary", RobinBC(a=-1.0, g=GDATA)),
+    ], ids=["dirichlet", "neumann", "robin", "robin-empty-a2"])
+    def test_phase_is_the_rotated_problem(self, field, bc, theta):
+        g = build_grid(UNIT, 5, 5)
+        fld = (TestStructure.rand_field(g, 3) if field == "random"
+               else CoefficientField.constant(g, 1j, 1j))
+        s0 = assemble_system(g, fld, bc)
+        if field == "imaginary":
+            assert (s0.a1.nnz, s0.a2.nnz) == (169, 0)
+        got = rotate(s0, theta)
+        ref = assemble_system(g, *rotated_problem(fld, bc, theta))
+        k_got, k_ref = got.a2 + 1j * got.a1.mat, ref.a2 + 1j * ref.a1.mat
+        assert abs(k_got - k_ref).max() <= 1e-14 * abs(k_ref).max()
+        f_got, f_ref = got.b2 + 1j * got.b1, ref.b2 + 1j * ref.b1
+        assert np.abs(f_got - f_ref).max() <= 1e-14 * np.abs(f_ref).max()
+        np.testing.assert_array_equal(got.lifting, ref.lifting)
+        np.testing.assert_array_equal(got.free_nodes, ref.free_nodes)

@@ -8,10 +8,13 @@ the benchmark run; these tests make that break show up in the unit suite
 instead.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from helmfem import CoefficientField, ProblemSpec, RobinBC
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "perfbench"))
@@ -46,3 +49,28 @@ def test_workload_builds_and_warms_up(tmp_path, workload):
 
 def test_workload_checks_pass_their_self_test(tmp_path):
     workloads.self_test(REPO, tmp_path)
+
+
+def test_rotation_is_traced_inside_solve():
+    # the benchmark's coeff.rotation_s reads the spans of the rotation
+    # step; a call through a name that the tracer does not wrap zeroes it
+    spec = ProblemSpec(nx=9, ny=9, rotation="auto", bc=RobinBC(a=-1 + 0.1j, g=1.0),
+                       coeff=lambda g: CoefficientField.constant(g, -3 - 2j, -1 - 4j))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        importlib.import_module("helmfem.solve").solve(spec)
+    finally:
+        saved = t.restore()
+    tracer.Tracer.assert_restored(saved)
+
+    names = [span.name for span in t.spans]
+    assert names.count("solve") == 1 and names.count("assemble.system") == 1
+    top = names.index("solve")
+
+    def inside_solve(sid):
+        while sid != -1 and sid != top:
+            sid = t.spans[sid].parent
+        return sid == top
+
+    assert any(name == "coeff.rotation" and inside_solve(sid) for sid, name in enumerate(names))

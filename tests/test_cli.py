@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from helmfem import cli, verify
 from helmfem.assemble import BlockSystem
 from helmfem.cli import ConfigError, main, parse_config
 from helmfem.grid import build_grid
-from helmfem.solve import SolutionField
+from helmfem.solve import SolutionField, solve
 from helmfem.sparse import PcgConfig
 from helmfem.verify import ConvergenceStudy, RotationSweepRow, SweepCell
 
@@ -90,10 +91,21 @@ class TestParseConfig:
         spec, _ = parse_config(ROBIN_BAR.replace("g = 3.333i", "g = .5i + 1 + .25i - 2.i"))
         assert complex(spec.bc.g(0.0, 0.0)) == pytest.approx(1 - 1.25j)
 
-    def test_robin_positive_real_part_rejected(self):
-        bad = ROBIN_BAR.replace("a = -1 + 0.3333333333333333i", "a = 1")
-        with pytest.raises(ConfigError, match="negative real part"):
-            parse_config(bad)
+    def test_robin_positive_real_part_rejected(self, tmp_path, capsys):
+        # a = 0 is no Robin condition: a config error
+        zero = ROBIN_BAR.replace("a = -1 + 0.3333333333333333i", "a = 0")
+        with pytest.raises(ConfigError, match="nonzero"):
+            parse_config(zero)
+        (tmp_path / "zero.ini").write_text(zero)
+        assert run_cli(["solve", "--config", tmp_path / "zero.ini", "--out", tmp_path / "o"]) == 2
+        # Re(a) > 0 puts c = -i/a in the lower half-plane: inadmissible unrotated
+        positive = (ROBIN_BAR.replace("a = -1 + 0.3333333333333333i", "a = 1")
+                    + "\n[solver]\ntheta = off\n")
+        (tmp_path / "positive.ini").write_text(positive)
+        capsys.readouterr()
+        assert run_cli(["solve", "--config", tmp_path / "positive.ini",
+                        "--out", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err.startswith("admissibility error:")
 
     def test_unknown_key_reports_line(self):
         bad = MINIMAL + "\n[solver]\nrel_tol = 1e-8\nrellto = 1e-8\n"
@@ -321,6 +333,31 @@ f = 0
         rows = (out / "pcg_sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 2
         assert rows[1].startswith("1,") and rows[1].split(",")[2] == ""
+
+    def pcg_ini(self, old, new):
+        text = (REPO / "configs" / "paper" / "pcg.ini").read_text()
+        assert old in text
+        return text.replace(old, new)
+
+    def test_pcg_sweep_solves_with_configured_boundary(self, tmp_path):
+        text = self.pcg_ini("kind = dirichlet\nf = 1", "kind = neumann\ng = 1").replace(
+            "n_list = 20, 40, 80\ntol_list = 1e-4, 1e-8, 1e-12",
+            "n_list = 20, 40\ntol_list = 1e-8")
+        out = tmp_path / "out"
+        assert run_cli(["pcg-sweep", "--config", self.write(tmp_path, text), "--out", out]) == 0
+        spec, _ = parse_config(text)
+        expected = [solve(dataclasses.replace(spec, nx=n, ny=n, pcg=PcgConfig(rel_tol=1e-8)))
+                    .info.iters_outer for n in (20, 40)]
+        rows = (out / "pcg_sweep.csv").read_text().strip().splitlines()[1:]
+        assert [int(r.split(",")[2]) for r in rows] == expected
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_pcg_sweep_non_finite_boundary_data_fails_each_cell(self, tmp_path):
+        text = self.pcg_ini("f = 1", "f = exp(1000*x)")
+        out = tmp_path / "out"
+        assert run_cli(["pcg-sweep", "--config", self.write(tmp_path, text), "--out", out]) == 4
+        failures = (out / "failures.txt").read_text().strip().splitlines()
+        assert len(failures) == 9 and all("[setup]" in line for line in failures)
 
     def test_exit_code_solver_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(PcgConfig, "iter_limit", lambda self, n: 1)

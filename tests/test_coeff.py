@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helmfem import (
-    AcousticParams, CoefficientField, HalfPlaneError, admissibility, auto_rotation_angle,
-    build_grid, rotate,
+    AcousticParams, CoefficientField, HalfPlaneError, NeumannBC, admissibility,
+    assemble_system, auto_rotation_angle, build_grid, rotate,
 )
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
@@ -48,42 +48,58 @@ class TestAdmissibility:
 
 
 class TestRotate:
+    """The phase e^{i*theta}: ``admissibility`` reads a field at an angle,
+    ``rotate`` turns its assembled system."""
+
+    def system(self):
+        g = grid4()
+        return assemble_system(g, CoefficientField.constant(g, 3 + 2j, 1 + 4j),
+                               NeumannBC(g=lambda x, y: np.exp(x) + 1j * np.asarray(y)))
+
+    @staticmethod
+    def assert_systems_close(s1, s2):
+        for m1, m2 in ((s1.a1.mat, s2.a1.mat), (s1.a2, s2.a2)):
+            np.testing.assert_allclose(m1.toarray(), m2.toarray(), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(s1.b1, s2.b1, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(s1.b2, s2.b2, rtol=0, atol=1e-14)
+
     def test_zero_rotation_identity(self):
         f = CoefficientField.constant(grid4(), 3 + 2j, 1 + 4j)
-        r = rotate(f, 0.0)
-        np.testing.assert_array_equal(r.lxx, f.lxx)
-        np.testing.assert_array_equal(r.m, f.m)
+        assert admissibility(f, 0.0) == admissibility(f)
+        s = self.system()
+        assert rotate(s, 0.0) is s
 
     def test_quarter_turn(self):
         f = CoefficientField.constant(grid4(), 3 + 2j, 1 + 4j)
-        r = rotate(f, np.pi / 2)
-        assert r.lxx[0] == pytest.approx(-2 + 3j, abs=1e-14)
+        rep = admissibility(f, np.pi / 2)   # L -> -2 + 3i, M -> -4 + 1i
+        assert (rep.min_im_l, rep.min_im_m) == pytest.approx((3.0, 1.0), abs=1e-14)
+        s = self.system()
+        r = rotate(s, np.pi / 2)            # K -> i K: A1 -> A2, A2 -> -A1
+        np.testing.assert_allclose(r.a1.mat.toarray(), s.a2.toarray(), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r.a2.toarray(), -s.a1.mat.toarray(), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r.b1, s.b2, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r.b2, -s.b1, rtol=0, atol=1e-14)
 
     def test_small_negative_rotation_stays_admissible(self):
         f = CoefficientField.constant(grid4(), 3 + 2j, 1 + 4j)
-        assert admissibility(rotate(f, -0.2)).ok
+        assert admissibility(f, -0.2).ok
 
     def test_composition(self):
-        f = CoefficientField.constant(grid4(), 3 + 2j, 1 + 4j)
+        s = self.system()
         a, b = 0.37, -1.1
-        r1 = rotate(rotate(f, a), b)
-        r2 = rotate(f, a + b)
-        np.testing.assert_allclose(r1.lxx, r2.lxx, atol=1e-14)
-        np.testing.assert_allclose(r1.m, r2.m, atol=1e-14)
+        self.assert_systems_close(rotate(rotate(s, a), b), rotate(s, a + b))
 
     def test_full_turn_identity(self):
-        f = CoefficientField.constant(grid4(), 3 + 2j, 1 + 4j)
-        r = rotate(f, 2 * np.pi)
-        np.testing.assert_allclose(r.lxx, f.lxx, atol=1e-14)
-        np.testing.assert_allclose(r.m, f.m, atol=1e-14)
+        s = self.system()
+        self.assert_systems_close(rotate(s, 2 * np.pi), s)
 
 
 class TestAutoRotation:
     def test_centers_the_argument_spread(self):
         f = CoefficientField.constant(grid4(), 1 + 1j, 2 + 1j)
         rep0 = admissibility(f)
-        theta = auto_rotation_angle(f)
-        rotated = admissibility(rotate(f, theta))
+        theta = auto_rotation_angle(f.all_values())
+        rotated = admissibility(f, theta)
         assert rotated.ok
         # centered: both extreme arguments sit at the same distance from the axis
         args = np.angle(f.all_values() * np.exp(1j * theta))
@@ -94,8 +110,8 @@ class TestAutoRotation:
     def test_lower_half_plane_recovered(self):
         f = CoefficientField.constant(grid4(), 2 - 0.003j, 3 - 0.0004j)
         assert not admissibility(f).ok
-        theta = auto_rotation_angle(f)
-        assert admissibility(rotate(f, theta)).ok
+        theta = auto_rotation_angle(f.all_values())
+        assert admissibility(f, theta).ok
         # the chosen angle matches a brute-force max-margin scan
         vals = f.all_values()
         scan = np.arange(-np.pi, np.pi, 1e-4)
@@ -105,19 +121,19 @@ class TestAutoRotation:
     def test_antipodal_values_infeasible(self):
         f = CoefficientField.constant(grid4(), 1 + 0j, -1 + 0j)
         with pytest.raises(HalfPlaneError):
-            auto_rotation_angle(f)
+            auto_rotation_angle(f.all_values())
 
     def test_zero_value_infeasible(self):
         f = CoefficientField.constant(grid4(), 0j, 1 + 1j)
         with pytest.raises(HalfPlaneError):
-            auto_rotation_angle(f)
+            auto_rotation_angle(f.all_values())
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 1.0), complex(1.0, np.inf)])
     def test_non_finite_value_infeasible(self, bad):
         f = CoefficientField.constant(grid4(), 1 + 1j, 2 + 1j)
         f.m[3] = bad
         with pytest.raises(HalfPlaneError, match="non-finite"):
-            auto_rotation_angle(f)
+            auto_rotation_angle(f.all_values())
 
     def test_random_half_plane_fields_become_admissible(self):
         rng = np.random.default_rng(11)
@@ -131,8 +147,8 @@ class TestAutoRotation:
             f = CoefficientField(lxx=vals[: g.n_elements].copy(),
                                  lyy=vals[: g.n_elements].copy(),
                                  m=vals[g.n_elements:].copy())
-            theta = auto_rotation_angle(f)
-            assert admissibility(rotate(f, theta)).ok
+            theta = auto_rotation_angle(f.all_values())
+            assert admissibility(f, theta).ok
 
 
 class TestAcoustic:

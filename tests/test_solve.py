@@ -246,13 +246,25 @@ class TestRotationHandling:
         assert exc.value.stage == "rotation"
 
     def test_rotation_breaking_robin_sign_reported(self):
-        # rotating by ~pi flips the Robin constant into the right half-plane
+        # L, M and the Robin term c = -i/a span 192.5 degrees: no rotation
+        # turns all three into the upper half-plane
         spec = ProblemSpec(nx=5, ny=5,
                            coeff=lambda g: CoefficientField.constant(g, -3 - 2j, -1 - 4j),
-                           bc=RobinBC(a=-1 + 0.1j, g=1.0), rotation="auto")
+                           bc=RobinBC(a=-1 - 0.5j, g=1.0), rotation="auto")
         with pytest.raises(SolveError) as exc:
             solve(spec)
         assert exc.value.stage == "rotation"
+
+    def test_auto_rotation_sees_robin_constant(self):
+        # the max-margin angle of L and M alone (-2.528) turns c = -i/a into
+        # the lower half-plane; the angle of L, M and c together solves it
+        spec = ProblemSpec(nx=9, ny=9,
+                           coeff=lambda g: CoefficientField.constant(g, -3 - 2j, -1 - 4j),
+                           bc=RobinBC(a=-1 + 0.1j, g=1.0), rotation="auto")
+        sol = solve(spec)
+        assert sol.theta_applied == pytest.approx(-1.498, abs=1e-3)
+        oracle = galerkin_oracle(sol.grid, spec.coeff(sol.grid), spec.bc)
+        assert np.linalg.norm(sol.u - oracle) / np.linalg.norm(oracle) < 1e-10
 
 
 class TestOracleEquivalence:
@@ -398,7 +410,7 @@ class TestFailurePropagation:
     @pytest.mark.parametrize("bc, coeff, message", [
         (DirichletBC(f="1"), lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j),
          "number or callable"),
-        # auto rotation turns these coefficients by pi/4, so the data is rotated first
+        # auto rotation turns these coefficients by pi/4; the data fails first
         (NeumannBC(g="1"), lambda g: CoefficientField.constant(g, 1 + 1j, 2 + 2j),
          "number or callable"),
         (DirichletBC(f=1.0), lambda g: CoefficientField.constant(build_grid(UNIT, 4, 4), 1j, 1j),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helmfem import (
-    AcousticParams, AssemblyError, CoefficientField, DirichletBC, NeumannBC, ProblemSpec,
+    AcousticParams, CoefficientField, DirichletBC, NeumannBC, ProblemSpec,
     RobinBC, SolutionField, assemble_system, build_grid, constitutive_spectrum,
     convergence_study, galerkin_oracle, omega_sweep, pcg_iteration_sweep, rotation_sweep,
     schur_spectrum, solve, v_norm_error,
@@ -79,13 +79,16 @@ class TestGalerkinOracle:
         u = galerkin_oracle(g, f, DirichletBC(f=1.0))
         assert u[4] == pytest.approx(19.0 / 28.0, abs=1e-14)
 
-    def test_inadmissible_field_rejected(self):
-        # the oracle solves the assembled system, so it takes only what
-        # assembly takes: Im L = 0 here
-        g = build_grid(UNIT, 5, 5)
-        f = CoefficientField.constant(g, 1.0, 1 + 1j)
-        with pytest.raises(AssemblyError, match="not admissible"):
-            galerkin_oracle(g, f, DirichletBC(f=1.0))
+    def test_lower_half_plane_field_matches_auto_rotated_solve(self):
+        # the oracle solves the unrotated system, so it needs no admissible
+        # field: Im L = 0 and Im M < 0 here
+        spec = ProblemSpec(nx=5, ny=5, rotation="auto",
+                           coeff=lambda g: CoefficientField.constant(g, 1.0, 1 - 1j),
+                           bc=DirichletBC(f=lambda x, y: np.cos(x) + 1j * np.sin(y)))
+        sol = solve(spec)
+        assert sol.theta_applied != 0.0
+        oracle = galerkin_oracle(sol.grid, spec.coeff(sol.grid), spec.bc)
+        assert np.linalg.norm(sol.u - oracle) / np.linalg.norm(oracle) < 1e-9
 
     def test_65x65_agrees_with_direct_solve(self):
         spec = ProblemSpec(nx=65, ny=65,
@@ -193,11 +196,10 @@ class TestSchurSpectrum:
         assert spec.preconditioned_spread < spec.raw_spread
 
     def test_figure_coefficient_case_finite_positive(self):
-        from helmfem import auto_rotation_angle, rotate
-        g = build_grid(UNIT, 8, 8)
-        f = CoefficientField.constant(g, 2 + 0.003j, -3 + 0.0004j)
-        f = rotate(f, auto_rotation_angle(f))
-        system = assemble_system(g, f, DirichletBC(f=0.0))
+        from helmfem import setup
+        _, system = setup(ProblemSpec(
+            nx=8, ny=8, bc=DirichletBC(f=0.0), rotation="auto",
+            coeff=lambda g: CoefficientField.constant(g, 2 + 0.003j, -3 + 0.0004j)))
         spec = schur_spectrum(system)
         assert np.all(np.isfinite(spec.raw))
         assert spec.raw.min() > 0
