@@ -8,21 +8,21 @@ preconditioned conjugate gradients whose inner A1 solves are
 preconditioned by a geometric-multigrid V-cycle.
 """
 
-from .grid import Grid, build_grid, eval_basis
+from .grid import Grid, build_grid
 from .coeff import (
     AcousticParams, AdmissibilityReport, CoefficientField, HalfPlaneError, admissibility,
     auto_rotation_angle,
 )
 from .assemble import (
-    AssemblyError, BlockSystem, DirichletBC, NeumannBC, RobinBC, assemble_system,
-    element_blocks, rotate,
+    AssemblyError, BlockSystem, DirichletBC, NeumannBC, RobinBC, assemble_system, rotate,
 )
 from .sparse import (
     A1Solver, ICFactor, IcBreakdownError, Multigrid, PcgBreakdownError, PcgConfig,
     PcgNonConvergenceError, PcgResult, SchurOperator, SparseSym, ic0, pcg,
 )
 from .solve import (
-    ProblemSpec, SolutionField, SolveError, SolveInfo, saddle_functional_Y, setup, solve,
+    ProblemSpec, SolutionField, SolveError, SolveInfo, orient, saddle_functional_Y, setup, solve,
+    solve_system,
 )
 from .verify import (
     ConvergenceStudy, ErrorReport, constitutive_spectrum, convergence_study,

@@ -32,13 +32,15 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from .coeff import CoefficientField
 from .grid import Grid, gauss_1d, gauss_points
-from .sparse import SparseSym
+from .sparse import Multigrid, SparseSym
 
 
 class AssemblyError(ValueError):
@@ -142,6 +144,8 @@ class BlockSystem:
 
     ``free_nodes`` maps free-node index -> grid node id.  ``lifting`` holds
     the complex nodal Dirichlet interpolant (zero for Neumann/Robin).
+    ``coeff`` and ``bc`` are the unrotated inputs of the assembly.  The
+    V-cycle and the LU of A1 are built on first use; ``rotate`` makes new ones.
     """
 
     a1: SparseSym
@@ -151,17 +155,21 @@ class BlockSystem:
     free_nodes: np.ndarray = field(repr=False)
     lifting: np.ndarray = field(repr=False)
     grid: Grid = field(repr=False)
-    bc_kind: str = "dirichlet"
+    coeff: CoefficientField = field(repr=False)
+    bc: BoundaryData
 
     @property
     def n(self) -> int:
         return len(self.free_nodes)
 
-    def block_matrix_dense(self) -> np.ndarray:
-        """Dense [[A1, A2^T], [A2, -A1]] for small-instance checks."""
-        a1 = self.a1.mat.toarray()
-        a2 = self.a2.toarray()
-        return np.block([[a1, a2.T], [a2, -a1]])
+    @cached_property
+    def vcycle(self) -> Multigrid:
+        return Multigrid(self.a1.mat, self.grid, self.free_nodes)
+
+    @cached_property
+    def lu(self):   # minimum degree on A1 + A1^T, diagonal pivots
+        return spla.splu(self.a1.mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def residual_blocks(self, alpha_re: np.ndarray, alpha_im: np.ndarray):
         """Residual (r1, r2) = (b1, b2) - [[A1, A2^T], [A2, -A1]] (a', a'')."""
@@ -175,20 +183,6 @@ class BlockSystem:
         bnorm = np.sqrt(np.linalg.norm(self.b1) ** 2 + np.linalg.norm(self.b2) ** 2)
         rnorm = np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(r2) ** 2)
         return rnorm / bnorm if bnorm > 0.0 else rnorm
-
-
-def element_blocks(grid: Grid, fld: CoefficientField, element: int):
-    """Local 4x4 blocks (A1, A2) of one element.
-
-    A1 = Im(Lx) Sx + Im(Ly) Sy + Im(M) Mc, A2 the same with real parts.
-    """
-    if not 0 <= element < grid.n_elements:
-        raise ValueError(f"element {element} out of range")
-    sx, sy, mc = element_templates(grid.hx, grid.hy)
-    lx, ly, m = fld.lxx[element], fld.lyy[element], fld.m[element]
-    a1 = lx.imag * sx + ly.imag * sy + m.imag * mc
-    a2 = lx.real * sx + ly.real * sy + m.real * mc
-    return a1, a2
 
 
 def _edge_quadrature(grid: Grid):
@@ -303,7 +297,7 @@ def assemble_system(grid: Grid, fld: CoefficientField, bc: BoundaryData) -> Bloc
     return BlockSystem(
         a1=SparseSym(a1), a2=a2,
         b1=np.asarray(b1).ravel(), b2=np.asarray(b2).ravel(),
-        free_nodes=free, lifting=lifting, grid=grid, bc_kind=bc.kind,
+        free_nodes=free, lifting=lifting, grid=grid, coeff=fld, bc=bc,
     )
 
 

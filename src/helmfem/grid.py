@@ -198,22 +198,3 @@ def gauss_points(hx: float, hy: float, order: int):
         for b, wb in zip(pts, wts):
             dxi, deta = shape_gradients(a, b)
             yield (a, b), wa * wb * jac, shape_values(a, b), dxi * 2.0 / hx, deta * 2.0 / hy
-
-
-def eval_basis(grid: Grid, node: int, point) -> tuple[float, np.ndarray]:
-    """Value and gradient of the hat function of ``node`` at ``point``.
-
-    The gradient is defined element-wise; on shared element edges it is
-    taken from the containing element per :meth:`Grid.element_of_point`
-    (ties toward the lower element index).
-    """
-    x, y = float(point[0]), float(point[1])
-    e = grid.element_of_point(x, y)
-    corners = grid.elements[e]
-    if node not in corners:
-        return 0.0, np.zeros(2)
-    k = int(np.flatnonzero(corners == node)[0])
-    xi, eta = grid.local_coords(e, x, y)
-    dxi, deta = shape_gradients(xi, eta)
-    grad = np.array([dxi[k] * 2.0 / grid.hx, deta[k] * 2.0 / grid.hy])
-    return float(shape_values(xi, eta)[k]), grad

@@ -5,14 +5,16 @@
     3. w1 = b1 + A2^T A1^{-1} b2 5. w2 = -b2 + A2 a'
                                  6. solve A1 a'' = w2
 
-Both N x N systems are symmetric positive definite.  While the residual
-of the full 2N x 2N saddle system breaks the contract, steps 3-6 are
-applied to it and the correction is added.  The method needs Im > 0 for
-every value that enters K = A2 + i A1: L, M and, for Robin data,
-c = -i/a.  ``setup`` picks an angle theta (policy "auto", "off", or an
-explicit angle), checks those values turned by e^{i*theta}, and
-multiplies the assembled system by e^{i*theta}, which leaves the
-solution unchanged.  "auto" turns c along with L and M only if it must.
+Both N x N systems are symmetric positive definite.  ``solve_system``
+applies steps 3-6 to an assembled system, and again to the residual of
+the full 2N x 2N saddle system while that breaks the contract.  The
+method needs Im > 0 for every value that enters K = A2 + i A1: L, M
+and, for Robin data, c = -i/a.  ``orient`` picks an angle theta for an
+unrotated system (policy "auto", "off", or an explicit angle), checks
+those values turned by e^{i*theta}, and multiplies the system by
+e^{i*theta}, which leaves the solution unchanged.  "auto" turns c along
+with L and M only if it must.  ``solve`` is ``setup`` (assembly and
+``orient``) plus ``solve_system``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assemble import (
-    AssemblyError, BoundaryData, DirichletBC, NeumannBC, RobinBC, assemble_system, rotate,
-    volume_blocks,
+    AssemblyError, BlockSystem, BoundaryData, DirichletBC, NeumannBC, RobinBC, assemble_system,
+    rotate, volume_blocks,
 )
 from .coeff import CoefficientField, HalfPlaneError, admissibility, auto_rotation_angle
 from .grid import Grid, build_grid, shape_gradients, shape_values
@@ -155,25 +157,28 @@ def check_rotation(policy) -> None:
 def _resolve_rotation(policy, values: np.ndarray, robin: np.ndarray) -> float:
     """The angle of a rotation policy.  "auto" takes the max-margin angle of
     ``values``, or of ``values`` and ``robin`` if that one leaves a Robin
-    constant inadmissible; SolveError of stage rotation if there is none."""
+    constant inadmissible; SolveError of stage rotation, naming the values
+    that took part, if there is none."""
     check_rotation(policy)
     if policy == "off":
         return 0.0
     if policy != "auto":
         return float(policy)
+    names = "L and M"
     try:
         theta = auto_rotation_angle(values)
         if np.any((np.exp(1j * theta) * robin).imag <= 0.0):
+            names = "L, M and the Robin constant c = -i/a"
             theta = auto_rotation_angle(np.append(values, robin))
     except HalfPlaneError as exc:
-        raise SolveError("rotation", str(exc)) from exc
+        raise SolveError("rotation", f"{names}: {exc}") from exc
     return theta
 
 
 def _check_inputs(fld: CoefficientField, bc) -> None:
     """Reject a missing boundary condition and non-finite coefficients
-    before anything is rotated or assembled.  Boundary data is checked
-    where assembly samples it (AssemblyError)."""
+    before anything is assembled.  Boundary data is checked where
+    assembly samples it (AssemblyError)."""
     if not isinstance(bc, (DirichletBC, NeumannBC, RobinBC)):
         raise SolveError("setup", f"boundary condition must be Dirichlet, Neumann or Robin, "
                                   f"got {type(bc).__name__}")
@@ -182,55 +187,53 @@ def _check_inputs(fld: CoefficientField, bc) -> None:
             raise SolveError("setup", f"coefficient {name} has non-finite values")
 
 
+def orient(system: BlockSystem, policy):
+    """(theta, system times e^{i*theta}) for a rotation policy, after the
+    admissibility check; SolveError of stage setup / rotation /
+    admissibility.  Takes only an unrotated system, as ``assemble_system``
+    returns it: the checks read the field and boundary condition it stores."""
+    robin = np.array([-1j / system.bc.a] if system.bc.kind == "robin" else [], dtype=complex)
+    theta = _resolve_rotation(policy, system.coeff.all_values(), robin)
+    rep = admissibility(system.coeff, theta)
+    im_c = (np.exp(1j * theta) * robin).imag
+    if not (rep.ok and np.all(im_c > 0.0)):
+        raise SolveError(
+            "admissibility",
+            f"coefficients not admissible after rotation policy {policy!r} "
+            f"(theta={theta:.6f}, min Im L={rep.min_im_l:.3e}, min Im M={rep.min_im_m:.3e}"
+            + "".join(f", Im c={v:.3e}" for v in im_c) + ")",
+        )
+    return theta, rotate(system, theta)
+
+
 def setup(spec: ProblemSpec):
     """Every stage before the solve: grid, coefficient field, input checks,
-    rotation angle, admissibility, assembly and rotation.  Returns (theta,
-    system), the grid being ``system.grid``; failures are raised as
-    SolveError with the stage label setup / rotation / admissibility.
-    Every AssemblyError is a fault in the input (field size, boundary
-    data), so it is stage setup."""
+    assembly and ``orient``, whose (theta, system) it returns.  Failures are
+    SolveError of stage setup / rotation / admissibility; an AssemblyError is
+    a fault in the input (field size, boundary data), so it is stage setup."""
     try:
         grid = spec.build_grid()
     except ValueError as exc:
         raise SolveError("setup", str(exc)) from exc
     fld = spec.build_field(grid)
     _check_inputs(fld, spec.bc)
-
-    robin = np.array([-1j / spec.bc.a] if spec.bc.kind == "robin" else [], dtype=complex)
-    theta = _resolve_rotation(spec.rotation, fld.all_values(), robin)
-    rep = admissibility(fld, theta)
-    im_c = (np.exp(1j * theta) * robin).imag
-    if not (rep.ok and np.all(im_c > 0.0)):
-        raise SolveError(
-            "admissibility",
-            f"coefficients not admissible after rotation policy {spec.rotation!r} "
-            f"(theta={theta:.6f}, min Im L={rep.min_im_l:.3e}, min Im M={rep.min_im_m:.3e}"
-            + "".join(f", Im c={v:.3e}" for v in im_c) + ")",
-        )
     try:
         system = assemble_system(grid, fld, spec.bc)
     except AssemblyError as exc:
         raise SolveError("setup", str(exc)) from exc
-    return theta, rotate(system, theta)
+    return orient(system, spec.rotation)
 
 
-def solve(spec: ProblemSpec) -> SolutionField:
-    """Solve the problem described by ``spec``.
-
-    Returns a SolutionField whose coefficients satisfy the full block
-    system to a relative residual ``info.residual_rel`` of at most
-    ``CONTRACT_FACTOR`` times the outer tolerance ``spec.pcg.rel_tol``;
-    the nested A1 solves run to ``spec.pcg.inner_rel_tol``.  Steps 3-6 are
-    re-applied to the block residual until it meets that contract, at
-    most ``MAX_REFINEMENTS`` times (``info.refinements``).  Failures are
-    raised as SolveError with the stage label (setup / admissibility /
-    rotation / step 3 / step 4 / step 6 / residual).
-    """
+def solve_system(system: BlockSystem, cfg: PcgConfig, mode: str):
+    """Steps 3-6 on an assembled system in ``mode`` "implicit" or "direct":
+    (u, info), u the complex nodal solution over all nodes, lifting included.
+    Its block residual ``info.residual_rel`` is at most ``CONTRACT_FACTOR``
+    times ``cfg.rel_tol``; steps 3-6 are re-applied to the block residual at
+    most ``MAX_REFINEMENTS`` times, the nested A1 solves run to
+    ``cfg.inner_rel_tol``.  Failures are SolveError of stage step 3 / step 4
+    / step 6 / residual."""
     t0 = time.perf_counter()
-    theta, system = setup(spec)
-
-    cfg = spec.pcg
-    solver = A1Solver(system, mode=spec.mode, rel_tol=cfg.inner_rel_tol)
+    solver = A1Solver(system, mode=mode, rel_tol=cfg.inner_rel_tol)
     schur = SchurOperator(solver)
     bnorm = float(np.sqrt(np.linalg.norm(system.b1) ** 2 + np.linalg.norm(system.b2) ** 2))
     atol = cfg.inner_rel_tol * bnorm
@@ -268,14 +271,23 @@ def solve(spec: ProblemSpec) -> SolutionField:
     u[system.free_nodes] += alpha_re + 1j * alpha_im
 
     info = SolveInfo(
-        bc_kind=system.bc_kind, mode=spec.mode, n_free=system.n,
+        bc_kind=system.bc.kind, mode=mode, n_free=system.n,
         iters_rhs=iters_rhs, iters_outer=res.iters, iters_imag=iters_imag,
         inner_iterations=solver.total_iters, residual_rel=float(residual),
         rel_tol=cfg.rel_tol, wall_time=time.perf_counter() - t0,
         outer_residuals=res.residuals, refinements=refinements,
     )
-    return SolutionField(grid=system.grid, u=u, free_nodes=system.free_nodes,
-                         theta_applied=theta, info=info)
+    return u, info
+
+
+def solve(spec: ProblemSpec) -> SolutionField:
+    """``setup`` plus ``solve_system`` for ``spec``, with the failures of
+    both; ``info.wall_time`` times the whole call."""
+    t0 = time.perf_counter()
+    theta, system = setup(spec)
+    u, info = solve_system(system, spec.pcg, spec.mode)
+    return SolutionField(grid=system.grid, u=u, free_nodes=system.free_nodes, theta_applied=theta,
+                         info=dataclasses.replace(info, wall_time=time.perf_counter() - t0))
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ imaginary part from a plain ``A1`` solve.  In "implicit" mode every
 ``A1`` solve (including the ones nested inside the Schur operator) is
 itself PCG, preconditioned by one symmetric geometric-multigrid V-cycle
 on the tensor grid, so its iteration counts do not grow with the mesh
-size.  "direct" mode replaces the inner PCG by a cached sparse LU of
-``A1`` with a symmetric minimum-degree ordering and diagonal pivots.
+size.  "direct" mode replaces the inner PCG by the block system's sparse
+LU of ``A1``, with a symmetric minimum-degree ordering and diagonal pivots.
 A non-finite vector in either mode raises :class:`PcgBreakdownError`.
 The paper's zero-fill incomplete Cholesky factorization (iteration
 counts growing like 1/h) remains as a library routine, :func:`ic0`; no
@@ -50,9 +50,9 @@ class IcBreakdownError(RuntimeError):
 class SparseSym:
     """Symmetric sparse matrix in CSR form.
 
-    The full matrix is stored; the pattern is fixed by mesh adjacency at
-    assembly time and explicit zeros produced by cancellation are kept
-    (no pruning), so the structure is reproducible.  Immutable.
+    The full matrix is stored.  Its pattern is whatever the sparse
+    arithmetic that built it left: sparse ``+`` drops sums that are exactly
+    zero, so A1 and A2 of one system need not share a pattern.  Immutable.
     """
 
     mat: sps.csr_matrix = field(repr=False)
@@ -413,11 +413,8 @@ class A1Solver:
     """Reusable solver for systems with the SPD block ``A1`` of a
     :class:`~helmfem.assemble.BlockSystem`.
 
-    mode "implicit": PCG preconditioned by one :class:`Multigrid` V-cycle
-    on ``A1`` over the system's grid and free nodes, built on the first
-    solve.
-    mode "direct": a cached sparse LU of ``A1`` (minimum degree on
-    ``A1 + A1^T``, diagonal pivots) used for exact solves.
+    mode "implicit": PCG preconditioned by the system's multigrid V-cycle
+    on ``A1``; mode "direct": exact solves with the system's sparse LU.
     """
 
     def __init__(self, system, mode: str = "implicit", rel_tol: float = 1e-12):
@@ -427,22 +424,14 @@ class A1Solver:
         self.mode = mode
         self.cfg = PcgConfig(rel_tol=rel_tol)
         self.total_iters = 0
-        self._minv = None
-        self._lu = None
 
     def solve(self, b: np.ndarray, atol: float = None) -> np.ndarray:
-        a1 = self.system.a1
         if self.mode == "direct":
-            if self._lu is None:
-                self._lu = spla.splu(a1.mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            x = self._lu.solve(np.asarray(b, dtype=float))
+            x = self.system.lu.solve(np.asarray(b, dtype=float))
             if not np.isfinite(x).all():
                 raise PcgBreakdownError("direct A1 solve produced non-finite values")
             return x
-        if self._minv is None:
-            self._minv = Multigrid(a1.mat, self.system.grid, self.system.free_nodes).apply
-        res = pcg(a1.matvec, self._minv, b, self.cfg, atol=atol)
+        res = pcg(self.system.a1.matvec, self.system.vcycle.apply, b, self.cfg, atol=atol)
         self.total_iters += res.iters
         return res.x
 

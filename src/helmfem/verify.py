@@ -9,6 +9,9 @@ Ground truth for problems without a manufactured solution is the Galerkin
 oracle, a direct solve of the complex form (A2 + i A1) alpha = b2 + i b1
 of the unrotated block system.  It checks the rotation and the nested
 saddle-point solve; manufactured solutions check the discretization.
+The sweeps assemble only what changes: ``pcg_iteration_sweep`` solves
+every tolerance on one system per grid, and ``rotation_sweep`` turns the
+theta = 0 system with ``orient`` for every angle.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import scipy.sparse.linalg as spla
 from .assemble import BlockSystem, DirichletBC, assemble_system
 from .coeff import AcousticParams, CoefficientField
 from .grid import Grid, build_grid, gauss_points
-from .solve import ProblemSpec, SolutionField, SolveError, check_rotation, solve
+from .solve import (ProblemSpec, SolutionField, SolveError, check_rotation, orient, setup,
+                    solve, solve_system)
 from .sparse import PcgConfig
 
 
@@ -289,7 +293,8 @@ def pcg_iteration_sweep(coeff, n_list, tol_list, domain=(0.0, 1.0, 0.0, 1.0),
     pair of constants.  Every solve has the boundary condition ``bc``, by
     default Dirichlet with unit data.  The rotation policy and every
     tolerance are checked before the first solve (SolveError of stage
-    setup, ValueError).
+    setup, ValueError).  Each grid is set up once; if that fails, each of
+    its cells fails with the same message.
     Returns (cells, flatness) where cells is a list of SweepCell((n, tol),
     iterations) and flatness maps each tolerance to max-min of the
     iteration counts over the grid sizes.
@@ -301,19 +306,24 @@ def pcg_iteration_sweep(coeff, n_list, tol_list, domain=(0.0, 1.0, 0.0, 1.0),
         builder = coeff
     check_rotation(rotation)
     configs = [PcgConfig(rel_tol=tol) for tol in tol_list]
+    systems = {}   # one setup per grid, shared by every tolerance
+    for n in n_list:
+        try:
+            systems[n] = setup(ProblemSpec(domain=domain, nx=n, ny=n, coeff=builder, bc=bc,
+                                           rotation=rotation, mode=mode))[1]
+        except SolveError as exc:
+            systems[n] = exc
     cells = []
     flatness = {}
     for tol, cfg in zip(tol_list, configs):
         counts = []
         for n in n_list:
-            spec = ProblemSpec(
-                domain=domain, nx=n, ny=n, coeff=builder,
-                bc=bc, pcg=cfg, rotation=rotation, mode=mode,
-            )
             try:
-                sol = solve(spec)
-                cells.append(SweepCell(params=(n, tol), value=sol.info.iters_outer))
-                counts.append(sol.info.iters_outer)
+                if isinstance(systems[n], SolveError):   # the grid's setup failed
+                    raise systems[n]
+                iters = solve_system(systems[n], cfg, mode)[1].iters_outer
+                cells.append(SweepCell(params=(n, tol), value=iters))
+                counts.append(iters)
             except SolveError as exc:
                 cells.append(SweepCell(params=(n, tol), value=None, error=str(exc)))
         if counts:
@@ -337,36 +347,38 @@ def rotation_sweep(spec: ProblemSpec, theta_list):
     is approached.  The reference is the complex Galerkin oracle on the
     nested refinement with 2N-1 nodes per side, restricted to the coarse
     nodes.  A non-finite angle raises SolveError of stage setup before
-    the first solve.  An angle that ``solve`` rejects at stage
+    the first solve.  An angle that ``orient`` rejects at stage
     admissibility is flagged and skipped; any other SolveError
     propagates.  Returns (rows, base_error) with errors in the relative
     nodal 2-norm.
     """
     for theta in theta_list:
         check_rotation(float(theta))
-    # the theta = 0 solve validates the inputs before the oracle sees them
-    base = solve(dataclasses.replace(spec, rotation=0.0))
-    grid = base.grid
+    # setup and the theta = 0 solve validate the inputs before the oracle sees them
+    _, system = setup(dataclasses.replace(spec, rotation=0.0))
+    base, _ = solve_system(system, spec.pcg, spec.mode)
+    grid = system.grid
     fine = _fine_oracle(spec)
     # coarse node (i, j) is fine node (2i, 2j)
     i, j = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny))
     reference = np.empty(grid.n_nodes, dtype=complex)
     reference[grid.node_id(i, j)] = fine.u[fine.grid.node_id(2 * i, 2 * j)]
     rnorm = np.linalg.norm(reference)
-    base_err = float(np.linalg.norm(base.u - reference) / rnorm)
-    base_scale = float(np.abs(base.u).max())
+    base_err = float(np.linalg.norm(base - reference) / rnorm)
+    base_scale = float(np.abs(base).max())
 
     rows = []
     for theta in theta_list:
         try:
-            sol = solve(dataclasses.replace(spec, rotation=float(theta)))
+            _, rotated = orient(system, float(theta))
         except SolveError as exc:
             if exc.stage != "admissibility":
                 raise
             rows.append(RotationSweepRow(theta=float(theta), admissible=False))
             continue
-        err = float(np.linalg.norm(sol.u - reference) / rnorm)
-        diff = float(np.abs(sol.u - base.u).max() / base_scale)
+        u, _ = solve_system(rotated, spec.pcg, spec.mode)
+        err = float(np.linalg.norm(u - reference) / rnorm)
+        diff = float(np.abs(u - base).max() / base_scale)
         rows.append(RotationSweepRow(theta=float(theta), admissible=True,
                                      error_vs_oracle=err, max_diff_vs_base=diff))
     return rows, base_err

@@ -4,9 +4,11 @@ import scipy.sparse as sps
 
 from helmfem import (
     AssemblyError, CoefficientField, DirichletBC, NeumannBC, ProblemSpec, RobinBC,
-    assemble_system, build_grid, element_blocks, rotate, solve,
+    assemble_system, build_grid, rotate, solve,
 )
 from helmfem.assemble import element_templates
+
+from fem_helpers import block_matrix_dense, element_blocks
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -169,7 +171,7 @@ class TestStructure:
             f = self.rand_field(g, nx + 100)
             sys_ = assemble_system(g, f, DirichletBC(f=data))
             rhs = np.concatenate([sys_.b1, sys_.b2])
-            x = np.linalg.solve(sys_.block_matrix_dense(), rhs)
+            x = np.linalg.solve(block_matrix_dense(sys_), rhs)
             u = sys_.lifting.copy()
             u[sys_.free_nodes] += x[: sys_.n] + 1j * x[sys_.n:]
 
@@ -208,7 +210,7 @@ class TestStructure:
         g = build_grid(UNIT, 4, 4)
         f = self.rand_field(g, 5)
         sys_ = assemble_system(g, f, DirichletBC(f=0.0))
-        block = sys_.block_matrix_dense()
+        block = block_matrix_dense(sys_)
         np.testing.assert_array_equal(block, block.T)
         eigs = np.linalg.eigvalsh(block)
         assert eigs.min() < 0 < eigs.max()
@@ -222,7 +224,7 @@ class TestStructure:
         sol = solve(spec)
         assert abs(sol.theta_applied) > 1.0
         s = assemble_system(sol.grid, spec.coeff(sol.grid), spec.bc)
-        x = np.linalg.solve(s.block_matrix_dense(), np.concatenate([s.b1, s.b2]))
+        x = np.linalg.solve(block_matrix_dense(s), np.concatenate([s.b1, s.b2]))
         u = s.lifting.copy()
         u[s.free_nodes] += x[: s.n] + 1j * x[s.n:]
         assert np.linalg.norm(sol.u - u) / np.linalg.norm(u) < 1e-9
@@ -348,3 +350,15 @@ class TestRotate:
         assert np.abs(f_got - f_ref).max() <= 1e-14 * np.abs(f_ref).max()
         np.testing.assert_array_equal(got.lifting, ref.lifting)
         np.testing.assert_array_equal(got.free_nodes, ref.free_nodes)
+
+    def test_rotated_system_builds_its_own_vcycle_and_lu(self):
+        g = build_grid(UNIT, 9, 9)
+        s0 = assemble_system(g, TestStructure.rand_field(g, 3), DirichletBC(f=GDATA))
+        assert s0.vcycle is s0.vcycle and s0.lu is s0.lu   # built once, on first use
+        r = rotate(s0, 0.3)
+        assert r.vcycle is not s0.vcycle and r.lu is not s0.lu
+        assert abs(r.vcycle.levels[0][0] - r.a1.mat).max() == 0.0
+        assert abs(s0.vcycle.levels[0][0] - s0.a1.mat).max() == 0.0
+        b = np.ones(r.n)
+        np.testing.assert_allclose(r.a1.mat @ r.lu.solve(b), b, rtol=0, atol=1e-12)
+        assert rotate(s0, 0.0).vcycle is s0.vcycle

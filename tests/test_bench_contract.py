@@ -12,9 +12,10 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helmfem import CoefficientField, ProblemSpec, RobinBC
+from helmfem import CoefficientField, DirichletBC, ProblemSpec, RobinBC, assemble_system
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "perfbench"))
@@ -74,3 +75,32 @@ def test_rotation_is_traced_inside_solve():
         return sid == top
 
     assert any(name == "coeff.rotation" and inside_solve(sid) for sid, name in enumerate(names))
+
+
+@pytest.mark.parametrize("bc", [
+    DirichletBC(f=lambda x, y: np.exp(x + y)),
+    RobinBC(a=-1 + 1j / 3, g=lambda x, y: np.exp(0.3 * x) + 2j * y),
+], ids=["dirichlet", "robin"])
+def test_traced_roles_add_up_to_solve_info(bc):
+    # the benchmark files each A1 solve by its parent span (run.py's
+    # traced_count_problems): steps 3 and 6 must run directly under solve
+    spec = ProblemSpec(nx=17, ny=17, bc=bc, mode="implicit",
+                       coeff=lambda g: CoefficientField.random(g, 0.0, 10.0, seed=4))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        sol = importlib.import_module("helmfem.solve").solve(spec)
+    finally:
+        saved = t.restore()
+    tracer.Tracer.assert_restored(saved)
+
+    info = sol.info
+    assert info.refinements == 0
+    _, per_op, _ = tracer.layer_metrics(t.spans)
+    traced = per_op[t.op]
+    inner = sum(traced.get(f"inner.{role}", 0) for role in tracer.A1_ROLES)
+    a1_nnz = assemble_system(sol.grid, spec.coeff(sol.grid), bc).a1.nnz
+    assert (traced["outer"], traced.get("inner.rhs", 0), traced.get("inner.imag", 0),
+            inner, traced["a1_nnz"]) == (info.iters_outer, info.iters_rhs, info.iters_imag,
+                                         info.inner_iterations, a1_nnz)
+    assert traced["inner.rhs"] > 0 and traced["inner.imag"] > 0

@@ -315,9 +315,13 @@ f = 0
             "omega-sweep-inf-last", "rotation-sweep-theta-nan"])
     def test_study_checks_cells_before_first_solve(self, tmp_path, capsys, monkeypatch,
                                                     command, text):
+        # every way a study reaches a solve: whole solves, and setups with
+        # solves of the assembled system
         calls = []
-        real = verify.solve
-        monkeypatch.setattr(verify, "solve", lambda spec: calls.append(spec) or real(spec))
+        for name in ("solve", "setup", "solve_system"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
         cfg = self.write(tmp_path, text)
         out = tmp_path / "out"
         assert run_cli([command, "--config", cfg, "--out", out]) == 2

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helmfem import build_grid, eval_basis
+from helmfem import build_grid
+
+from fem_helpers import eval_basis
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 

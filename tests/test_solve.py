@@ -5,9 +5,11 @@ import pytest
 
 from helmfem import (
     CoefficientField, DirichletBC, NeumannBC, PcgConfig, ProblemSpec, RobinBC,
-    SolveError, build_grid, eval_basis, galerkin_oracle, saddle_functional_Y, solve,
+    SolveError, build_grid, galerkin_oracle, saddle_functional_Y, solve,
 )
-from helmfem.assemble import BlockSystem, element_blocks
+from helmfem.assemble import BlockSystem
+
+from fem_helpers import element_blocks, eval_basis
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -244,6 +246,7 @@ class TestRotationHandling:
         with pytest.raises(SolveError) as exc:
             solve(spec)
         assert exc.value.stage == "rotation"
+        assert "L and M:" in str(exc.value) and "Robin" not in str(exc.value)
 
     def test_rotation_breaking_robin_sign_reported(self):
         # L, M and the Robin term c = -i/a span 192.5 degrees: no rotation
@@ -254,6 +257,7 @@ class TestRotationHandling:
         with pytest.raises(SolveError) as exc:
             solve(spec)
         assert exc.value.stage == "rotation"
+        assert "L, M and the Robin constant c = -i/a:" in str(exc.value)
 
     def test_auto_rotation_sees_robin_constant(self):
         # the max-margin angle of L and M alone (-2.528) turns c = -i/a into
@@ -415,7 +419,10 @@ class TestFailurePropagation:
          "number or callable"),
         (DirichletBC(f=1.0), lambda g: CoefficientField.constant(build_grid(UNIT, 4, 4), 1j, 1j),
          "elements"),
-    ], ids=["string-data", "rotated-string-data", "wrong-size-field"])
+        # assembly runs before the angle is checked: stage setup, not rotation
+        (DirichletBC(f="1"), lambda g: CoefficientField.constant(g, 1.0, -1.0),
+         "number or callable"),
+    ], ids=["string-data", "rotated-string-data", "wrong-size-field", "inadmissible-string-data"])
     def test_bad_input_fails_at_setup(self, bc, coeff, message):
         spec = ProblemSpec(nx=5, ny=5, bc=bc, coeff=coeff)
         with pytest.raises(SolveError, match=message) as exc:

@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,24 @@ from helmfem import (
     convergence_study, galerkin_oracle, omega_sweep, pcg_iteration_sweep, rotation_sweep,
     schur_spectrum, solve, v_norm_error,
 )
-from helmfem import verify
+from helmfem import Multigrid, verify
 from helmfem.cli import parse_config
 
 PCG_INI = Path(__file__).resolve().parents[1] / "configs" / "paper" / "pcg.ini"
+ROT_PIC_INI = PCG_INI.with_name("rot_pic.ini")
+
+
+def count_setup_work(monkeypatch):
+    """Grid sizes of the assemblies that setup runs, and one entry per
+    Multigrid built, from here on."""
+    solve_mod = importlib.import_module("helmfem.solve")   # the package shadows it
+    assembled, built = [], []
+    assemble, init = solve_mod.assemble_system, Multigrid.__init__
+    monkeypatch.setattr(solve_mod, "assemble_system",
+                        lambda grid, *args: assembled.append(grid.nx) or assemble(grid, *args))
+    monkeypatch.setattr(Multigrid, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    return assembled, built
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
 MANUFACTURED = dict(
@@ -239,6 +254,26 @@ class TestPcgSweep:
             (n, tol): its for tol, its in expected.items() for n in (20, 40, 80)}
         assert flatness == dict.fromkeys(expected, 0)
 
+    def test_pcg_ini_sets_up_each_grid_once(self, monkeypatch):
+        # every tolerance reuses its grid's system and V-cycle
+        spec, study = parse_config(PCG_INI.read_text())
+        assembled, built = count_setup_work(monkeypatch)
+        cells, _ = pcg_iteration_sweep(spec.coeff, study["n_list"], study["tol_list"],
+                                       domain=spec.domain, rotation=spec.rotation,
+                                       mode=spec.mode, bc=spec.bc)
+        assert all(c.ok for c in cells) and len(cells) == 9
+        assert [c.params for c in cells] == [
+            (n, tol) for tol in study["tol_list"] for n in study["n_list"]]
+        assert assembled == [20, 40, 80]
+        assert len(built) == 3
+
+    def test_failed_setup_fails_each_cell_of_its_grid(self):
+        cells, flatness = pcg_iteration_sweep((1.0 + 0j, 1j), [1, 6], [1e-4, 1e-8])
+        failed = [c for c in cells if not c.ok]
+        assert [c.params for c in failed] == [(1, 1e-4), (1, 1e-8)]
+        assert failed[0].error == failed[1].error and failed[0].error.startswith("[setup]")
+        assert flatness == {1e-4: 0, 1e-8: 0}
+
     def test_cell_failures_recorded_not_fatal(self):
         # inadmissible coefficients with rotation off: every cell fails,
         # but the sweep still returns a full table
@@ -268,6 +303,16 @@ class TestRotationSweep:
         rows, _ = rotation_sweep(self.spec(), [-1.0, 0.5, 2.0])
         assert [r.admissible for r in rows] == [False, True, False]
         assert rows[0].error_vs_oracle is None
+
+    def test_rot_pic_assembles_once(self, monkeypatch):
+        # every angle turns the theta = 0 system; each nonzero angle builds
+        # the V-cycle of its own A1, theta = 0 reuses the base solve's
+        spec, study = parse_config(ROT_PIC_INI.read_text())
+        assembled, built = count_setup_work(monkeypatch)
+        rows, _ = rotation_sweep(spec, study["theta_list"])
+        assert all(r.admissible for r in rows) and len(rows) == 15
+        assert assembled == [spec.nx]
+        assert len(built) == 1 + sum(1 for t in study["theta_list"] if t != 0.0)
 
     def test_flat_error_inside_arc(self):
         thetas = [-0.4, 0.0, 0.6, 1.2, 1.7]
